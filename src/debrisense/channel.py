@@ -40,23 +40,24 @@ class PathContribution:
 
     Angles are (azimuth, elevation) pairs in the local array frames;
     the steering response depends on them through the directional cosine
-    sin(elevation) * cos(azimuth).
+    sin(elevation) * cos(azimuth).  ``steering`` may carry the path's
+    :func:`steering_matrix`, built once by a caller that assembles many
+    sub-bands from the same path; it is built from the angles otherwise.
     """
 
     mechanism: Mechanism
     gain: complex
-    delay_s: float
     aod: tuple[float, float]
     aoa: tuple[float, float]
+    steering: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class SubbandChannel:
-    """Channel matrix of one sub-band plus the paths that built it."""
+    """Channel matrix of one sub-band."""
 
     center_frequency_hz: float
     matrix: np.ndarray
-    paths: tuple[PathContribution, ...] = field(default_factory=tuple)
     los_indicator: int = 1
 
 
@@ -73,6 +74,17 @@ def steering_vector(n: int, spacing: float, theta: float, phi: float) -> np.ndar
     return np.exp(-2j * math.pi * spacing * omega * k)
 
 
+def steering_matrix(config: ArrayConfig, aod, aoa) -> np.ndarray:
+    """Rank-1 receive x transmit steering outer product of one path.
+
+    Element spacings are in wavelengths, so it does not depend on
+    frequency and serves every sub-band of the path.
+    """
+    sr = steering_vector(config.n_rx, config.spacing_rx, aoa[1], aoa[0])
+    st = steering_vector(config.n_tx, config.spacing_tx, aod[1], aod[0])
+    return np.outer(sr, st)
+
+
 def assemble_subband(paths, config: ArrayConfig, f_hz: float, v_m_s: float,
                      los_indicator: int = 1) -> SubbandChannel:
     """Sum per-path rank-1 outer products into the sub-band channel matrix.
@@ -85,11 +97,12 @@ def assemble_subband(paths, config: ArrayConfig, f_hz: float, v_m_s: float,
     for path in paths:
         if path.mechanism is Mechanism.LOS and los_indicator == 0:
             continue
-        sr = steering_vector(config.n_rx, config.spacing_rx, path.aoa[1], path.aoa[0])
-        st = steering_vector(config.n_tx, config.spacing_tx, path.aod[1], path.aod[0])
-        h += path.gain * dop * np.outer(sr, st)
+        steering = path.steering
+        if steering is None:
+            steering = steering_matrix(config, path.aod, path.aoa)
+        h += path.gain * dop * steering
     return SubbandChannel(center_frequency_hz=f_hz, matrix=h,
-                          paths=tuple(paths), los_indicator=los_indicator)
+                          los_indicator=los_indicator)
 
 
 def apply_rician_smallscale(h_det: np.ndarray, k_factor_db: float,

@@ -7,6 +7,14 @@ derived from the master seed by counter-based stream splitting so that a
 campaign is a pure function of (config, seed), samples stay paired across
 SNR sweeps (same scenes/channels, rescaled noise), and debris-interaction
 draws nest across frequencies (activation probabilities rise with f).
+
+The unit of work is an SNR family: the conditions that differ only in SNR.
+None of the seed streams depends on SNR, so the siblings of a family share
+one channel build per sample (scene, interactions, paths, the sub-band
+matrices and the payload and unit-noise draws); only the link and the
+features run once per sibling.  Within a sample, each path's geometry,
+angles and steering are resolved once; only its gain is evaluated per
+sub-band.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import (ArrayConfig, PathContribution, apply_rician_smallscale,
-                      assemble_subband, subband_grid)
+                      assemble_subband, steering_matrix, subband_grid)
 from .configio import SimulationConfig, CampaignGrid, default_config
 from .errors import ConfigError, DebrisenseError, EqualizationError, TrainingError
 from .linksim import (CsiMethod, complex_normal, estimate_csi,
@@ -305,56 +313,82 @@ def interaction_geometry(scene: DebrisScene, object_index: int,
                         mechanism=mechanism)
 
 
-def _path_gain_and_delay(geom: PathGeometry, f_hz: float, material,
-                         pol: Polarization, scatter_azimuth: float):
-    from .constants import SPEED_OF_LIGHT
+def _path_gain(geom: PathGeometry, f_hz: float, material, pol: Polarization,
+               scatter_azimuth: float) -> complex:
     s1_m, s2_m = geom.s1_km * 1e3, geom.s2_km * 1e3
     if geom.mechanism is Mechanism.REFLECTION:
-        gain = reflected_response(f_hz, s1_m, s2_m, geom.d_km * 1e3, material, pol)
-        delay = (s1_m + s2_m) / SPEED_OF_LIGHT
-    elif geom.mechanism is Mechanism.SCATTERING:
+        return reflected_response(f_hz, s1_m, s2_m, geom.d_km * 1e3, material, pol)
+    if geom.mechanism is Mechanism.SCATTERING:
         sgeom = ScatterGeometry(theta1=geom.incidence_angle_rad,
                                 theta2=geom.incidence_angle_rad,
                                 theta3=scatter_azimuth)
-        gain = scattered_response(f_hz, s1_m, s2_m, geom.d_km * 1e3, sgeom,
+        return scattered_response(f_hz, s1_m, s2_m, geom.d_km * 1e3, sgeom,
                                   material, pol)
-        delay = (s1_m + s2_m) / SPEED_OF_LIGHT
-    else:
-        gain = diffracted_response(f_hz, s1_m, s2_m, geom.clearance_m)
-        delta = geom.clearance_m ** 2 * (s1_m + s2_m) / (2 * s1_m * s2_m)
-        delay = (s1_m + s2_m + delta) / SPEED_OF_LIGHT
-    return gain, delay
+    return diffracted_response(f_hz, s1_m, s2_m, geom.clearance_m)
 
 
-def build_paths(scene: DebrisScene, interactions, f_hz: float,
-                cfg: SimulationConfig, flags: list) -> list[PathContribution]:
-    """Evaluate every activated interaction into a path at frequency f_hz.
+@dataclass(frozen=True)
+class SamplePath:
+    """One path of a sample, resolved once for all of its sub-bands.
 
+    ``gains`` holds the path's transfer function at each sub-band, or None
+    where evaluating it raised.
+    """
+    mechanism: Mechanism
+    aod: tuple[float, float]
+    aoa: tuple[float, float]
+    steering: np.ndarray
+    gains: tuple
+
+    def at(self, k: int) -> PathContribution:
+        """The path as assembled into sub-band ``k``."""
+        return PathContribution(mechanism=self.mechanism, gain=self.gains[k],
+                                aod=self.aod, aoa=self.aoa,
+                                steering=self.steering)
+
+
+def build_paths(scene: DebrisScene, interactions, grid, cfg: SimulationConfig,
+                flags: list, array: ArrayConfig) -> list[SamplePath]:
+    """Resolve the line of sight and every activated interaction into paths.
+
+    Geometry, angles and steering do not depend on frequency and are
+    resolved once; gains are evaluated at each sub-band centre of ``grid``.
     Geometry failures (grazing scattering, no knife-edge projection) skip
-    the path and append a flag instead of aborting the sample.
+    the path, and a gain that raises skips it at that sub-band only; both
+    append a flag instead of aborting the sample.
     """
     pol = Polarization.TE if cfg.channel.polarization == "te" else Polarization.TM
-    paths = [PathContribution(
-        mechanism=Mechanism.LOS,
-        gain=los_response(f_hz, scene.geometry.distance_m),
-        delay_s=scene.geometry.los_delay_s,
-        aod=(0.0, 0.0), aoa=(0.0, 0.0))]
+    freqs = [float(f) for f in grid]
+    boresight = (0.0, 0.0)
+    paths = [SamplePath(
+        mechanism=Mechanism.LOS, aod=boresight, aoa=boresight,
+        steering=steering_matrix(array, boresight, boresight),
+        gains=tuple(los_response(f, scene.geometry.distance_m) for f in freqs))]
     for inter in interactions:
         obj = scene.objects[inter.object_index]
         material = cfg.materials[obj.debris_class.value]
+        error_flag = f"path_error:{inter.mechanism.value}"
         try:
             geom = interaction_geometry(scene, inter.object_index,
                                         inter.mechanism)
-            if geom is None:
-                flags.append("diff_skip")
-                continue
-            gain, delay = _path_gain_and_delay(geom, f_hz, material, pol,
-                                               inter.scatter_azimuth)
-            aod, aoa = _angles(scene, obj.position_km)
-            paths.append(PathContribution(mechanism=inter.mechanism, gain=gain,
-                                          delay_s=delay, aod=aod, aoa=aoa))
         except DebrisenseError:
-            flags.append(f"path_error:{inter.mechanism.value}")
+            flags.append(error_flag)
+            continue
+        if geom is None:
+            flags.append("diff_skip")
+            continue
+        gains = []
+        for f in freqs:
+            try:
+                gains.append(_path_gain(geom, f, material, pol,
+                                        inter.scatter_azimuth))
+            except DebrisenseError:
+                gains.append(None)
+                flags.append(error_flag)
+        aod, aoa = _angles(scene, obj.position_km)
+        paths.append(SamplePath(mechanism=inter.mechanism, aod=aod, aoa=aoa,
+                                steering=steering_matrix(array, aod, aoa),
+                                gains=tuple(gains)))
     return paths
 
 
@@ -367,10 +401,24 @@ def _frame_lengths(total_symbols: int, n_subbands: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(n_subbands)]
 
 
-def simulate_sample(cond: ConditionSpec, label: str, sample_idx: int,
-                    cfg: SimulationConfig, master_seed: int,
-                    label_idx: int) -> SampleRecord:
-    """Scene -> interactions -> channel -> link for one sample."""
+@dataclass(frozen=True)
+class SampleDraw:
+    """The SNR-independent part of one sample, shared by its SNR siblings.
+
+    ``subbands`` holds, per sub-band, the channel matrix, the payload bits,
+    their QPSK frame and the CN(0, 1) noise and CSI-error blocks that each
+    sibling scales to its own SNR.
+    """
+    sample_idx: int
+    label: str
+    flags: tuple[str, ...]
+    subbands: tuple[tuple[np.ndarray, ...], ...]
+
+
+def draw_sample(cond: ConditionSpec, label: str, sample_idx: int,
+                cfg: SimulationConfig, master_seed: int,
+                label_idx: int) -> SampleDraw:
+    """Scene -> interactions -> paths -> sub-band channels and payload."""
     flags: list[str] = []
     scene_rng = _rng(master_seed, _STREAM_SCENE, cond.table_tag,
                      cond.density_idx, label_idx, sample_idx)
@@ -402,26 +450,36 @@ def simulate_sample(cond: ConditionSpec, label: str, sample_idx: int,
     grid = subband_grid(cond.frequency_hz, cfg.channel.n_subbands,
                         cfg.channel.bandwidth_hz)
     lengths = _frame_lengths(cfg.linksim.frame_symbols, cfg.channel.n_subbands)
-    pilot_len = cfg.linksim.pilot_factor * cond.n_antennas
-    method = (CsiMethod.PERFECT if cfg.linksim.csi_method == "perfect"
-              else CsiMethod.LEAST_SQUARES)
+    paths = build_paths(scene, interactions, grid, cfg, flags, array)
 
-    err_bits = 0.0
-    total_bits = 0
-    csi_stack = []
-    for f_i, n_syms in zip(grid, lengths):
-        paths = build_paths(scene, interactions, float(f_i), cfg, flags)
-        sb = assemble_subband(paths, array, float(f_i), geometry.velocity_m_s,
-                              los_indicator=cfg.channel.los_indicator)
-        h = sb.matrix
-        if len(paths) > 1:
+    subbands = []
+    for k, (f_k, n_syms) in enumerate(zip(grid, lengths)):
+        present = [p.at(k) for p in paths if p.gains[k] is not None]
+        h = assemble_subband(present, array, float(f_k), geometry.velocity_m_s,
+                             los_indicator=cfg.channel.los_indicator).matrix
+        if len(present) > 1:
             k_db = cfg.channel.k_factor(label, cond.frequency_hz)
             h = apply_rician_smallscale(h, k_db, fading_rng)
-
         bits = noise_rng.integers(0, 2, size=2 * cond.n_antennas * n_syms).astype(np.int8)
         frame = qpsk_modulate(bits).reshape(cond.n_antennas, n_syms)
         noise_unit = complex_normal(noise_rng, (cond.n_antennas, n_syms))
         error_unit = complex_normal(noise_rng, (cond.n_antennas, cond.n_antennas))
+        subbands.append((h, bits, frame, noise_unit, error_unit))
+    return SampleDraw(sample_idx=sample_idx, label=label, flags=tuple(flags),
+                      subbands=tuple(subbands))
+
+
+def simulate_sample(cond: ConditionSpec, draw: SampleDraw,
+                    cfg: SimulationConfig) -> SampleRecord:
+    """Link and features of one drawn sample at the condition's SNR."""
+    pilot_len = cfg.linksim.pilot_factor * cond.n_antennas
+    method = (CsiMethod.PERFECT if cfg.linksim.csi_method == "perfect"
+              else CsiMethod.LEAST_SQUARES)
+    flags = list(draw.flags)
+    err_bits = 0.0
+    total_bits = 0
+    csi_stack = []
+    for h, bits, frame, noise_unit, error_unit in draw.subbands:
         y = transmit(h, frame, cond.snr_db, rng=None, noise_unit=noise_unit)
         csi = estimate_csi(h, pilot_len, cond.snr_db, rng=None, method=method,
                            error_unit=error_unit)
@@ -436,25 +494,48 @@ def simulate_sample(cond: ConditionSpec, label: str, sample_idx: int,
         total_bits += bits.size
 
     features = extract_features(np.stack(csi_stack))
-    return SampleRecord(condition_id=cond.condition_id, sample_idx=sample_idx,
-                        label=label, ber=err_bits / total_bits,
-                        features=features, flags=tuple(sorted(set(flags))))
+    return SampleRecord(condition_id=cond.condition_id,
+                        sample_idx=draw.sample_idx, label=draw.label,
+                        ber=err_bits / total_bits, features=features,
+                        flags=tuple(sorted(set(flags))))
 
 
-def run_condition(cond: ConditionSpec, cfg: SimulationConfig,
+def _snr_free(cond: ConditionSpec) -> ConditionSpec:
+    return replace(cond, condition_id="", snr_idx=0, snr_db=0.0)
+
+
+def snr_families(conditions) -> list[tuple[ConditionSpec, ...]]:
+    """Group conditions that differ only in SNR, in order of first appearance."""
+    families: dict[ConditionSpec, list] = {}
+    for cond in conditions:
+        families.setdefault(_snr_free(cond), []).append(cond)
+    return [tuple(family) for family in families.values()]
+
+
+def run_condition(conds, cfg: SimulationConfig,
                   master_seed: int) -> list[SampleRecord]:
-    """Generate all samples of one condition, balanced across its labels."""
-    counts = balanced_partition(cond.samples, cond.labels)
+    """Generate all samples of one condition, balanced across its labels.
+
+    ``conds`` is one condition or an SNR family: conditions that differ only
+    in SNR.  Each sample is drawn once and simulated at every sibling's SNR;
+    the records come back grouped by condition, in the order given.
+    """
+    family = (conds,) if isinstance(conds, ConditionSpec) else tuple(conds)
+    head = family[0]
+    if any(_snr_free(c) != _snr_free(head) for c in family[1:]):
+        raise ValueError("conditions run together must differ only in SNR")
+    counts = balanced_partition(head.samples, head.labels)
     class_order = list(cfg.campaign.classes)
-    records = []
+    records: list[list[SampleRecord]] = [[] for _ in family]
     sample_idx = 0
-    for label in cond.labels:
+    for label in head.labels:
         for _ in range(counts[label]):
-            records.append(simulate_sample(
-                cond, label, sample_idx, cfg, master_seed,
-                label_idx=class_order.index(label)))
+            draw = draw_sample(head, label, sample_idx, cfg, master_seed,
+                               label_idx=class_order.index(label))
+            for cond, recs in zip(family, records):
+                recs.append(simulate_sample(cond, draw, cfg))
             sample_idx += 1
-    return records
+    return [rec for recs in records for rec in recs]
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +627,7 @@ def evaluate_condition(records, split_seed: int,
             det_hits += int(detected == truth_detected)
             if truth_detected and cls_model is not None:
                 cls_total += 1
-                cls_pred = cls_model.predict(fv)
+                cls_pred = pred if detected else cls_model.predict(fv)
                 confusion[rec.label][cls_pred] += 1
                 cls_hits += int(cls_pred == rec.label)
 
@@ -574,8 +655,8 @@ METRICS_CSV_HEADER = ("condition_id,frequency_hz,mimo,snr_db,density,"
 
 
 def _run_condition_worker(args):
-    cond, cfg, master_seed = args
-    return run_condition(cond, cfg, master_seed)
+    family, cfg, master_seed = args
+    return run_condition(family, cfg, master_seed)
 
 
 @dataclass
@@ -589,15 +670,23 @@ class CampaignResult:
 
 def run_campaign(cfg: SimulationConfig, master_seed: int,
                  threads: int = 1) -> CampaignResult:
-    """Run every condition of the campaign grid and evaluate its groups."""
+    """Run every condition of the campaign grid and evaluate its groups.
+
+    Each SNR family is one unit of work, for the serial loop and the pool.
+    """
     conditions, groups = enumerate_conditions(cfg)
+    families = snr_families(conditions)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_condition_worker,
-                                    [(c, cfg, master_seed) for c in conditions]))
+                                    [(f, cfg, master_seed) for f in families]))
     else:
-        results = [run_condition(c, cfg, master_seed) for c in conditions]
-    records = {c.condition_id: recs for c, recs in zip(conditions, results)}
+        results = [run_condition(f, cfg, master_seed) for f in families]
+    by_id: dict[str, list] = {}
+    for recs in results:
+        for rec in recs:
+            by_id.setdefault(rec.condition_id, []).append(rec)
+    records = {c.condition_id: by_id[c.condition_id] for c in conditions}
 
     summaries = {}
     acc_by_cond: dict[str, list] = {}

@@ -124,17 +124,23 @@ def estimate_csi(h_true: np.ndarray, pilot_length: int, snr_db: float,
 def zf_equalize(y: np.ndarray, csi: CsiEstimate) -> np.ndarray:
     """Zero-forcing equalization via the pseudo-inverse of the CSI matrix.
 
+    One SVD serves both the rank check and the pseudo-inverse, which is
+    built as ``np.linalg.pinv`` builds it: from the SVD of the conjugate
+    matrix, so its result is the same to the last bit.  pinv's 1e-15
+    cutoff discards nothing once the far stricter rank check has passed.
+
     Raises EqualizationError when the estimate is rank-deficient (smallest
     singular value below ZF_RANK_TOL of the largest); callers record such
     samples at BER 0.5 with a flag.
     """
-    mat = np.asarray(csi.matrix)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[-1] <= ZF_RANK_TOL * sv[0]:
+    u, s, vt = np.linalg.svd(np.asarray(csi.matrix).conjugate(),
+                             full_matrices=False)
+    if s[-1] <= ZF_RANK_TOL * s[0]:
         raise EqualizationError(
-            f"CSI singular values span {sv[0]:.3e}..{sv[-1]:.3e}; "
+            f"CSI singular values span {s[0]:.3e}..{s[-1]:.3e}; "
             "zero-forcing needs full column rank")
-    return np.linalg.pinv(mat) @ np.asarray(y)
+    pinv = np.transpose(vt) @ ((1.0 / s)[:, np.newaxis] * np.transpose(u))
+    return pinv @ np.asarray(y)
 
 
 def compute_ber(tx_bits: np.ndarray, rx_bits: np.ndarray) -> float:

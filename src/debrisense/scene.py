@@ -56,10 +56,6 @@ class LinkGeometry:
     def velocity_m_s(self) -> float:
         return self.velocity_km_s * 1e3
 
-    @property
-    def los_delay_s(self) -> float:
-        return self.distance_m / SPEED_OF_LIGHT
-
 
 @dataclass(frozen=True)
 class DebrisObject:

@@ -10,8 +10,9 @@ from debrisense.configio import CampaignGrid, default_config
 from debrisense.errors import TrainingError
 from debrisense.experiments import (balanced_partition, draw_interactions,
                                     enumerate_conditions, evaluate_condition,
-                                    run_campaign, run_condition, table_config,
-                                    trend_config, write_campaign_outputs,
+                                    run_campaign, run_condition, snr_families,
+                                    table_config, trend_config,
+                                    write_campaign_outputs,
                                     SAMPLE_CSV_HEADER, METRICS_CSV_HEADER)
 from debrisense.scene import (DebrisClass, LinkGeometry, Mechanism,
                               SceneConfig, generate_scene)
@@ -154,6 +155,62 @@ class TestRunCondition:
         low = run_condition([c for c in f30 if c.snr_db == 0.0][0], cfg, 3)
         high = run_condition([c for c in f30 if c.snr_db == 25.0][0], cfg, 3)
         assert np.mean([r.ber for r in high]) < np.mean([r.ber for r in low])
+
+
+class TestSnrFamilies:
+    @staticmethod
+    def two_snr_cfg(samples):
+        cfg = tiny_cfg(samples=samples)
+        return replace(cfg, campaign=replace(cfg.campaign,
+                                             snr_values_db=(5.0, 20.0)))
+
+    def test_families_group_conditions_differing_only_in_snr(self):
+        conds, _ = enumerate_conditions(table_config(2))
+        families = snr_families(conds)
+        assert [len(f) for f in families] == [4, 4, 4]
+        assert [c for f in families for c in f] == conds
+        for family in families:
+            assert len({c.frequency_hz for c in family}) == 1
+            assert [c.snr_db for c in family] == [5.0, 10.0, 15.0, 20.0]
+        conds3, _ = enumerate_conditions(table_config(3))
+        assert [len(f) for f in snr_families(conds3)] == [1] * 12
+
+    def test_family_members_must_share_everything_but_snr(self):
+        cfg = self.two_snr_cfg(samples=6)
+        conds, _ = enumerate_conditions(cfg)
+        f30 = [c for c in conds if c.frequency_hz == 30e9]
+        f3t = [c for c in conds if c.frequency_hz == 3e12]
+        with pytest.raises(ValueError, match="SNR"):
+            run_condition((f30[0], f3t[0]), cfg, master_seed=1)
+
+    def test_condition_alone_matches_its_family_in_a_campaign(self):
+        cfg = self.two_snr_cfg(samples=9)
+        result = run_campaign(cfg, master_seed=3)
+        assert [len(f) for f in snr_families(result.conditions)] == [2, 2]
+        for cond in result.conditions:
+            alone = run_condition(cond, cfg, master_seed=3)
+            shared = result.records[cond.condition_id]
+            assert len(alone) == len(shared) == 9
+            for a, b in zip(alone, shared):
+                assert (a.condition_id, a.sample_idx, a.label) == \
+                    (b.condition_id, b.sample_idx, b.label)
+                assert a.ber == b.ber
+                assert a.features.as_array().tobytes() == \
+                    b.features.as_array().tobytes()
+                assert set(a.flags) == set(b.flags) - {"train", "test"}
+
+    def test_thread_pool_matches_serial_across_families(self, tmp_path):
+        cfg = self.two_snr_cfg(samples=8)
+        out_a, out_b = tmp_path / "serial", tmp_path / "pool"
+        write_campaign_outputs(run_campaign(cfg, master_seed=2, threads=1),
+                               cfg, out_a)
+        write_campaign_outputs(run_campaign(cfg, master_seed=2, threads=2),
+                               cfg, out_b)
+        names = sorted(p.name for p in out_a.iterdir())
+        assert names == sorted(p.name for p in out_b.iterdir())
+        assert sum(n.startswith("samples_") for n in names) == 4
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 class TestPathGeometryFlow:

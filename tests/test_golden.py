@@ -1,0 +1,39 @@
+"""Golden digests of reduced headline campaigns.
+
+Each digest is the SHA-256 over every output file of
+``reproduce_table(table, 7, samples=samples)``, taken in name order as the
+file name followed by its bytes.  A change that is meant to leave outputs
+alone must keep them byte for byte; regenerate a digest only together with
+a CHANGES.md entry that says why the outputs moved.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from debrisense.experiments import reproduce_table
+
+# Recorded with numpy 2.4.6 on x86-64 (scipy-openblas).
+GOLDEN_NUMPY = "2.4.6"
+GOLDEN = {
+    (1, 24): "da779bd1e89e78afe3a9d598b1e7d8d602a982ec272a5caf1a01e9e7f50e0b45",
+    (2, 60): "fca80c7de7f3383a60b2b15a4069369addcc8dbef59de027ef42ff4266ee2095",
+    (3, 24): "c1ce103a8a1edd23f3c0fae8232383126e2186c02abca4a8119a5a1cc87ee534",
+}
+
+
+def output_digest(out_dir) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("table,samples", sorted(GOLDEN))
+def test_reduced_campaign_matches_golden_digest(tmp_path, table, samples):
+    reproduce_table(table, 7, tmp_path, samples=samples)
+    assert output_digest(tmp_path) == GOLDEN[(table, samples)], (
+        f"outputs of table {table} at {samples} samples changed "
+        f"(digest recorded with numpy {GOLDEN_NUMPY}, running {np.__version__})")

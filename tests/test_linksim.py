@@ -95,6 +95,16 @@ class TestZeroForcing:
                                          method=CsiMethod.PERFECT))
         assert np.allclose(est, y)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (16, 16), (64, 64), (6, 4)])
+    def test_matches_pinv_bit_for_bit(self, shape):
+        # the one-SVD equalizer must reproduce np.linalg.pinv exactly
+        rng = np.random.default_rng(shape[0])
+        for _ in range(5):
+            h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            y = rng.normal(size=(shape[0], 9)) + 1j * rng.normal(size=(shape[0], 9))
+            est = zf_equalize(y, CsiEstimate(matrix=h, method=CsiMethod.PERFECT))
+            assert np.array_equal(est, np.linalg.pinv(h) @ y)
+
     def test_rank_deficient_rejected(self):
         h = np.outer(np.ones(4), np.ones(4)).astype(complex)  # rank 1
         with pytest.raises(EqualizationError):
