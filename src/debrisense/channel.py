@@ -58,7 +58,6 @@ class SubbandChannel:
 
     center_frequency_hz: float
     matrix: np.ndarray
-    los_indicator: int = 1
 
 
 def steering_vector(n: int, spacing: float, theta: float, phi: float) -> np.ndarray:
@@ -101,8 +100,7 @@ def assemble_subband(paths, config: ArrayConfig, f_hz: float, v_m_s: float,
         if steering is None:
             steering = steering_matrix(config, path.aod, path.aoa)
         h += path.gain * dop * steering
-    return SubbandChannel(center_frequency_hz=f_hz, matrix=h,
-                          los_indicator=los_indicator)
+    return SubbandChannel(center_frequency_hz=f_hz, matrix=h)
 
 
 def apply_rician_smallscale(h_det: np.ndarray, k_factor_db: float,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -222,7 +223,6 @@ def parse_config(text: str, base: SimulationConfig | None = None,
             if "file" in sec:
                 path = sec["file"]
                 if config_dir is not None:
-                    from pathlib import Path
                     path = str(Path(config_dir) / path)
                 cfg = replace(cfg, materials=load_materials(path))
         if parser.has_section("interactions"):
@@ -294,7 +294,6 @@ def parse_config(text: str, base: SimulationConfig | None = None,
 
 
 def load_config(path) -> SimulationConfig:
-    from pathlib import Path
     p = Path(path)
     return parse_config(p.read_text(encoding="utf-8"), config_dir=p.parent)
 

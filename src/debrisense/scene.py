@@ -40,7 +40,6 @@ class LinkGeometry:
 
     distance_km: float
     velocity_km_s: float
-    time_s: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.distance_km) and self.distance_km > 0):
@@ -106,11 +105,6 @@ class DebrisScene:
     density_per_km3: float
     objects: tuple[DebrisObject, ...]
     seed: int
-
-    @property
-    def volume_km3(self) -> float:
-        a, b, c = self.semi_axes_km
-        return 4.0 / 3.0 * math.pi * a * b * c
 
     @property
     def tx_position_km(self) -> np.ndarray:

@@ -1,7 +1,12 @@
 """Kernel SVM trained from scratch with sequential minimal optimization.
 
 The binary solver uses working-set selection by maximal KKT violation
-with a second-choice heuristic on the error cache.  After SMO converges
+with a second-choice heuristic on the error cache.  Partners are ranked
+by |E_i - E_j|, and one vectorized pass over all of them computes eta,
+the box [lo, hi], the clipped step and the tiny-step test; the first
+admissible partner in rank order takes the step.  This is the same
+partner, with the same arithmetic, as a walk over the ranking that stops
+at the first partner admitting progress.  After SMO converges
 to tolerance, the free-set KKT system is solved exactly (a "polish" step)
 so the returned model is effectively at the dual optimum; this makes
 training insensitive to row order well below the stated tolerance.
@@ -113,6 +118,7 @@ def _smo_solve(k: np.ndarray, y: np.ndarray, c: float, tol: float,
     b = 0.0
     # error cache: E_i = f(x_i) - y_i
     errors = -y.astype(float)
+    kdiag = np.diag(k)
 
     def violations():
         yf = y * (errors + y)  # y_i * f_i
@@ -132,50 +138,46 @@ def _smo_solve(k: np.ndarray, y: np.ndarray, c: float, tol: float,
         if steps >= max_passes:
             return alpha, b, steps, False
 
-        # second choice: largest |E_i - E_j|, then the rest in that order
+        # second choice: the first partner in descending |E_i - E_j| order
+        # that admits progress, screened over all partners at once
         order = np.argsort(-np.abs(errors[i] - errors))
-        progressed = False
-        for j in order:
-            j = int(j)
-            if j == i:
-                continue
-            eta = 2.0 * k[i, j] - k[i, i] - k[j, j]
-            if eta >= 0.0:
-                continue
-            if y[i] == y[j]:
-                lo = max(0.0, alpha[i] + alpha[j] - c)
-                hi = min(c, alpha[i] + alpha[j])
-            else:
-                lo = max(0.0, alpha[j] - alpha[i])
-                hi = min(c, c + alpha[j] - alpha[i])
-            if hi - lo < 1e-12:
-                continue
-            aj_new = alpha[j] - y[j] * (errors[i] - errors[j]) / eta
-            aj_new = min(hi, max(lo, aj_new))
-            if abs(aj_new - alpha[j]) < 1e-12 * (aj_new + alpha[j] + 1e-12):
-                continue
-            ai_new = alpha[i] + y[i] * y[j] * (alpha[j] - aj_new)
-
-            b1 = (b - errors[i] - y[i] * (ai_new - alpha[i]) * k[i, i]
-                  - y[j] * (aj_new - alpha[j]) * k[i, j])
-            b2 = (b - errors[j] - y[i] * (ai_new - alpha[i]) * k[i, j]
-                  - y[j] * (aj_new - alpha[j]) * k[j, j])
-            if 0.0 < ai_new < c:
-                b_new = b1
-            elif 0.0 < aj_new < c:
-                b_new = b2
-            else:
-                b_new = 0.5 * (b1 + b2)
-
-            alpha[i], alpha[j] = ai_new, aj_new
-            b = b_new
-            errors = k @ (alpha * y) + b - y
-            steps += 1
-            progressed = True
-            break
-        if not progressed:
+        eta = 2.0 * k[i] - k[i, i] - kdiag
+        same = y == y[i]
+        lo = np.where(same, np.maximum(0.0, alpha[i] + alpha - c),
+                      np.maximum(0.0, alpha - alpha[i]))
+        hi = np.where(same, np.minimum(c, alpha[i] + alpha),
+                      np.minimum(c, c + alpha - alpha[i]))
+        # entries with eta >= 0 divide by zero or step uphill; masked below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            aj_step = alpha - y * (errors[i] - errors) / eta
+            aj_step = np.minimum(hi, np.maximum(lo, aj_step))
+            ok = ((eta < 0.0) & ~(hi - lo < 1e-12)
+                  & ~(np.abs(aj_step - alpha)
+                      < 1e-12 * (aj_step + alpha + 1e-12)))
+        ok[i] = False
+        admissible = order[ok[order]]
+        if admissible.size == 0:
             # numerical corner: no pair admits progress; treat as converged
             return alpha, b, steps, True
+        j = int(admissible[0])
+        aj_new = aj_step[j]
+        ai_new = alpha[i] + y[i] * y[j] * (alpha[j] - aj_new)
+
+        b1 = (b - errors[i] - y[i] * (ai_new - alpha[i]) * k[i, i]
+              - y[j] * (aj_new - alpha[j]) * k[i, j])
+        b2 = (b - errors[j] - y[i] * (ai_new - alpha[i]) * k[i, j]
+              - y[j] * (aj_new - alpha[j]) * k[j, j])
+        if 0.0 < ai_new < c:
+            b_new = b1
+        elif 0.0 < aj_new < c:
+            b_new = b2
+        else:
+            b_new = 0.5 * (b1 + b2)
+
+        alpha[i], alpha[j] = ai_new, aj_new
+        b = b_new
+        errors = k @ (alpha * y) + b - y
+        steps += 1
 
 
 def _dual_value(k: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
@@ -263,9 +265,6 @@ class MultiClassSvm:
 
     classes: tuple[str, ...]
     machines: dict  # (class_a, class_b) -> BinarySvm, +1 = class_a
-
-    def decision_values(self, x: np.ndarray) -> dict:
-        return {pair: svm.decision(x) for pair, svm in self.machines.items()}
 
     def predict(self, x: np.ndarray) -> list[str]:
         x = np.atleast_2d(np.asarray(x, dtype=float))

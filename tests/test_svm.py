@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from debrisense.errors import TrainingError
-from debrisense.svm import (KernelSpec, train_binary, train_multiclass)
+from debrisense.svm import (BinarySvm, DEFAULT_TOL, KernelSpec, _smo_solve,
+                            train_binary, train_multiclass)
 
 from qp_oracle import dual_objective, solve_dual_exhaustive, xor_dataset
+from smo_reference import smo_solve_scalar
 
 
 def random_instance(seed, n=8):
@@ -113,6 +115,71 @@ class TestTraining:
         x, y = random_instance(0)
         with pytest.raises(TrainingError):
             train_binary(x, y, KernelSpec(kind="linear"), c=0.0)
+
+
+def screen_instance(case, n, seed):
+    """Features and labels that steer the partner screen into one corner."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 5))
+    y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    rng.shuffle(y)
+    if case == "duplicated":
+        half = n // 2
+        x[half:2 * half] = x[:half]
+        y[half:2 * half] = y[:half]
+    elif case == "opposite_duplicates":
+        # each duplicated pair has eta == 0 and opposite labels
+        x[1::2] = x[0::2][:n // 2]
+        y[1::2] = -y[0::2][:n // 2]
+    elif case == "identical":
+        x[:] = x[0]
+    return x, y
+
+
+class TestPartnerScreen:
+    """The vectorized partner screen against the scalar partner loop."""
+
+    @pytest.mark.parametrize("case", ["random", "duplicated",
+                                      "opposite_duplicates", "identical"])
+    @pytest.mark.parametrize("n", [2, 5, 40, 170])
+    @pytest.mark.parametrize("c", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("kernel", [KernelSpec(kind="rbf", gamma=0.3),
+                                        KernelSpec(kind="linear")],
+                             ids=["rbf", "linear"])
+    def test_bit_identical_to_scalar_loop(self, kernel, c, n, case):
+        x, y = screen_instance(case, n, seed=n)
+        k = kernel.matrix(x, x)
+        alpha, b, steps, converged = _smo_solve(k, y, c, DEFAULT_TOL, 5000)
+        ref_alpha, ref_b, ref_steps, ref_converged = smo_solve_scalar(
+            k, y, c, DEFAULT_TOL, 5000)
+        assert alpha.tobytes() == ref_alpha.tobytes()
+        assert np.float64(b).tobytes() == np.float64(ref_b).tobytes()
+        assert (steps, converged) == (ref_steps, ref_converged)
+
+
+class TestSmoExits:
+    def test_update_cap_raises_with_diagnostics(self):
+        x, y = blobs(seed=3, sep=2.0)
+        with pytest.raises(TrainingError) as info:
+            train_binary(x, y, KernelSpec(kind="rbf", gamma=0.5), c=1.0,
+                         max_passes=1)
+        diag = info.value.diagnostics
+        assert diag["steps"] == 1
+        assert isinstance(diag["best_model"], BinarySvm)
+        assert np.isfinite(diag["dual_objective"])
+
+    @pytest.mark.parametrize("kernel", [KernelSpec(kind="rbf", gamma=0.3),
+                                        KernelSpec(kind="linear")],
+                             ids=["rbf", "linear"])
+    def test_no_admissible_pair_returns_converged(self, kernel):
+        # identical rows: eta == 0 for every pair, so no step is possible
+        x, y = screen_instance("identical", 6, seed=0)
+        alpha, b, steps, converged = _smo_solve(
+            kernel.matrix(x, x), y, 1.0, DEFAULT_TOL, 100)
+        assert converged is True
+        assert steps == 0
+        assert not np.any(alpha)
+        assert b == 0.0
 
 
 class TestMulticlass:
