@@ -186,6 +186,8 @@ def enumerate_conditions(cfg: SimulationConfig):
 def table_config(which: int, samples: int | None = None) -> SimulationConfig:
     """Campaign configuration for the three headline experiment tables."""
     cfg = default_config()
+    if samples is None:
+        samples = 200
     if which == 1:
         grid = CampaignGrid(
             kind="density_frequency",
@@ -193,7 +195,7 @@ def table_config(which: int, samples: int | None = None) -> SimulationConfig:
             snr_values_db=(15.0,),
             mimo_sizes=(16,),
             densities_per_km3=(1e-7, 5e-7, 1e-6),
-            samples_per_condition=samples or 200)
+            samples_per_condition=samples)
     elif which == 2:
         grid = CampaignGrid(
             kind="frequency_snr",
@@ -201,7 +203,7 @@ def table_config(which: int, samples: int | None = None) -> SimulationConfig:
             snr_values_db=(5.0, 10.0, 15.0, 20.0),
             mimo_sizes=(16,),
             densities_per_km3=(1e-6,),
-            samples_per_condition=samples or 200)
+            samples_per_condition=samples)
     elif which == 3:
         grid = CampaignGrid(
             kind="mimo_frequency",
@@ -209,7 +211,7 @@ def table_config(which: int, samples: int | None = None) -> SimulationConfig:
             snr_values_db=(20.0,),
             mimo_sizes=(4, 16, 64),
             densities_per_km3=(1e-6,),
-            samples_per_condition=samples or 200)
+            samples_per_condition=samples)
     else:
         raise ConfigError(f"table must be 1, 2 or 3, got {which}")
     return replace(cfg, campaign=grid)
@@ -674,6 +676,8 @@ def run_campaign(cfg: SimulationConfig, master_seed: int,
 
     Each SNR family is one unit of work, for the serial loop and the pool.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     conditions, groups = enumerate_conditions(cfg)
     families = snr_families(conditions)
     if threads > 1:

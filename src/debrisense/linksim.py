@@ -122,25 +122,24 @@ def estimate_csi(h_true: np.ndarray, pilot_length: int, snr_db: float,
 
 
 def zf_equalize(y: np.ndarray, csi: CsiEstimate) -> np.ndarray:
-    """Zero-forcing equalization via the pseudo-inverse of the CSI matrix.
+    """Zero-forcing equalization: pinv(H) @ y, by one LU solve.
 
-    One SVD serves both the rank check and the pseudo-inverse, which is
-    built as ``np.linalg.pinv`` builds it: from the SVD of the conjugate
-    matrix, so its result is the same to the last bit.  pinv's 1e-15
-    cutoff discards nothing once the far stricter rank check has passed.
-
-    Raises EqualizationError when the estimate is rank-deficient (smallest
-    singular value below ZF_RANK_TOL of the largest); callers record such
-    samples at BER 0.5 with a flag.
+    A tall estimate is first reduced to its square R factor (H = QR,
+    y -> Q^H y); a values-only SVD checks the rank.  Raises
+    EqualizationError unless the estimate has full column rank (Nr >= Nt,
+    smallest singular value above ZF_RANK_TOL of the largest); callers
+    record such samples at BER 0.5 with a flag.
     """
-    u, s, vt = np.linalg.svd(np.asarray(csi.matrix).conjugate(),
-                             full_matrices=False)
-    if s[-1] <= ZF_RANK_TOL * s[0]:
+    h, y = np.asarray(csi.matrix), np.asarray(y)
+    if h.shape[0] > h.shape[1]:
+        q, h = np.linalg.qr(h)
+        y = q.conj().T @ y
+    s = np.linalg.svd(h, compute_uv=False)
+    if h.shape[0] < h.shape[1] or s[-1] <= ZF_RANK_TOL * s[0]:
         raise EqualizationError(
-            f"CSI singular values span {s[0]:.3e}..{s[-1]:.3e}; "
-            "zero-forcing needs full column rank")
-    pinv = np.transpose(vt) @ ((1.0 / s)[:, np.newaxis] * np.transpose(u))
-    return pinv @ np.asarray(y)
+            f"{h.shape[0]}x{h.shape[1]} CSI has singular values "
+            f"{s[0]:.3e}..{s[-1]:.3e}; zero-forcing needs full column rank")
+    return np.linalg.solve(h, y)
 
 
 def compute_ber(tx_bits: np.ndarray, rx_bits: np.ndarray) -> float:

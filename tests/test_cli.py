@@ -96,6 +96,16 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--samples", "0"],
+                                   ["--samples", "6", "--threads", "0"],
+                                   ["--samples", "6", "--threads", "-4"]])
+def test_bad_reproduce_counts_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    assert main(["reproduce", "--table", "2", "--out", str(out), *flags]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_data_file_exits_3(tmp_path, capsys):
     assert main(["evaluate", "--data", str(tmp_path / "nope.csv"),
                  "--model", str(tmp_path / "nope.json")]) == 3
