@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -135,52 +134,3 @@ def subband_grid(center_hz: float, n_subbands: int, bandwidth_hz: float) -> np.n
     width = bandwidth_hz / n_subbands
     offsets = -bandwidth_hz / 2.0 + width * (np.arange(n_subbands) + 0.5)
     return center_hz + offsets
-
-
-# ---------------------------------------------------------------------------
-# Binary snapshot export (cross-implementation comparison format)
-# ---------------------------------------------------------------------------
-
-def write_channel_binary(path, subbands) -> None:
-    """Write sub-band matrices as little-endian interleaved re/im float64.
-
-    Order is sub-band-major then row-major; a text sidecar ``<path>.txt``
-    records dimensions and centre frequencies.
-    """
-    path = Path(path)
-    mats = [np.asarray(sb.matrix, dtype=np.complex128) for sb in subbands]
-    if not mats:
-        raise ValueError("no sub-bands to export")
-    shape = mats[0].shape
-    if any(m.shape != shape for m in mats):
-        raise ValueError("sub-band matrices disagree in shape")
-    stack = np.ascontiguousarray(np.stack(mats)).astype("<c16")
-    stack.tofile(path)
-    sidecar = [
-        f"n_subbands={len(mats)}",
-        f"n_rx={shape[0]}",
-        f"n_tx={shape[1]}",
-        "layout=subband-major row-major interleaved re/im float64 little-endian",
-        "frequencies_hz=" + ",".join(repr(float(sb.center_frequency_hz))
-                                     for sb in subbands),
-    ]
-    path.with_suffix(path.suffix + ".txt").write_text("\n".join(sidecar) + "\n",
-                                                      encoding="utf-8")
-
-
-def read_channel_binary(path) -> list[SubbandChannel]:
-    """Read back matrices written by :func:`write_channel_binary`."""
-    path = Path(path)
-    meta = {}
-    for line in path.with_suffix(path.suffix + ".txt").read_text(
-            encoding="utf-8").splitlines():
-        key, _, value = line.partition("=")
-        meta[key] = value
-    n_sub = int(meta["n_subbands"])
-    n_rx = int(meta["n_rx"])
-    n_tx = int(meta["n_tx"])
-    freqs = [float(v) for v in meta["frequencies_hz"].split(",")]
-    data = np.fromfile(path, dtype="<c16").reshape(n_sub, n_rx, n_tx)
-    return [SubbandChannel(center_frequency_hz=freqs[i],
-                           matrix=data[i].astype(np.complex128))
-            for i in range(n_sub)]

@@ -299,6 +299,10 @@ def load_config(path) -> SimulationConfig:
 
 
 def _validate(cfg: SimulationConfig) -> None:
+    if cfg.channel.n_subbands < 1:
+        raise ConfigError(f"n_subbands must be >= 1, got {cfg.channel.n_subbands}")
+    if any(n < 1 for n in cfg.campaign.mimo_sizes):
+        raise ConfigError(f"mimo sizes must be positive, got {cfg.campaign.mimo_sizes}")
     if cfg.channel.polarization not in ("te", "tm"):
         raise ConfigError(f"polarization must be te|tm, got {cfg.channel.polarization!r}")
     if cfg.linksim.csi_method not in ("least_squares", "perfect"):

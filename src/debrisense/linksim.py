@@ -20,6 +20,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # Rank tolerance for the zero-forcing precondition.
 ZF_RANK_TOL = 1e-12
+# Factor by which the Frobenius condition bound must clear 1/ZF_RANK_TOL
+# before zero-forcing skips the SVD rank check.
+_ZF_BOUND_MARGIN = 1e3
 
 
 class CsiMethod(enum.Enum):
@@ -122,24 +125,46 @@ def estimate_csi(h_true: np.ndarray, pilot_length: int, snr_db: float,
 
 
 def zf_equalize(y: np.ndarray, csi: CsiEstimate) -> np.ndarray:
-    """Zero-forcing equalization: pinv(H) @ y, by one LU solve.
+    """Zero-forcing equalization: pinv(H) @ y, from one LU inverse.
 
     A tall estimate is first reduced to its square R factor (H = QR,
-    y -> Q^H y); a values-only SVD checks the rank.  Raises
-    EqualizationError unless the estimate has full column rank (Nr >= Nt,
-    smallest singular value above ZF_RANK_TOL of the largest); callers
-    record such samples at BER 0.5 with a flag.
+    y -> Q^H y).  The estimate is H^-1 @ y.  Raises EqualizationError
+    unless the estimate has full column rank (Nr >= Nt, smallest singular
+    value above ZF_RANK_TOL of the largest); callers record such samples
+    at BER 0.5 with a flag.
+
+    The values-only SVD that applies that rule runs only when the
+    Frobenius bound kappa_2 <= kappa_F = ||H||_F ||H^-1||_F cannot
+    certify the rank: when kappa_F * _ZF_BOUND_MARGIN >= 1 / ZF_RANK_TOL
+    or kappa_F is not finite.  The margin covers the rounding of the
+    computed inverse and singular values, so a skipped SVD could not have
+    found the estimate rank-deficient (Golub & Van Loan, Matrix
+    Computations, section 2.3).
     """
     h, y = np.asarray(csi.matrix), np.asarray(y)
+    if h.shape[0] < h.shape[1]:
+        raise EqualizationError(
+            f"{h.shape[0]}x{h.shape[1]} CSI is wide; zero-forcing needs "
+            f"full column rank")
     if h.shape[0] > h.shape[1]:
         q, h = np.linalg.qr(h)
         y = q.conj().T @ y
-    s = np.linalg.svd(h, compute_uv=False)
-    if h.shape[0] < h.shape[1] or s[-1] <= ZF_RANK_TOL * s[0]:
+    try:
+        h_inv = np.linalg.inv(h)
+    except np.linalg.LinAlgError:
         raise EqualizationError(
-            f"{h.shape[0]}x{h.shape[1]} CSI has singular values "
-            f"{s[0]:.3e}..{s[-1]:.3e}; zero-forcing needs full column rank")
-    return np.linalg.solve(h, y)
+            f"{h.shape[0]}x{h.shape[1]} CSI is exactly singular; "
+            f"zero-forcing needs full column rank") from None
+    # vdot gives each squared Frobenius norm without numpy's overflow
+    # warning: an inverse too large to square reads inf, hence uncertified
+    kappa_f = math.sqrt(float(np.vdot(h, h).real) * float(np.vdot(h_inv, h_inv).real))
+    if not kappa_f * _ZF_BOUND_MARGIN < 1.0 / ZF_RANK_TOL:
+        s = np.linalg.svd(h, compute_uv=False)
+        if not s[-1] > ZF_RANK_TOL * s[0]:  # NaN values fail too
+            raise EqualizationError(
+                f"{h.shape[0]}x{h.shape[1]} CSI has singular values "
+                f"{s[0]:.3e}..{s[-1]:.3e}; zero-forcing needs full column rank")
+    return h_inv @ y
 
 
 def compute_ber(tx_bits: np.ndarray, rx_bits: np.ndarray) -> float:

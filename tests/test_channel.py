@@ -1,4 +1,4 @@
-"""Channel assembly, small-scale dressing and snapshot export."""
+"""Channel assembly, small-scale dressing and the sub-band grid."""
 
 import math
 
@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debrisense.channel import (ArrayConfig, PathContribution, SubbandChannel,
+from debrisense.channel import (ArrayConfig, PathContribution,
                                 apply_rician_smallscale, assemble_subband,
-                                read_channel_binary, steering_vector,
-                                subband_grid, write_channel_binary)
+                                steering_vector, subband_grid)
 from debrisense.propagation import doppler_factor, los_response
 from debrisense.scene import Mechanism
 
@@ -142,29 +141,3 @@ class TestSubbandGrid:
     def test_mean_is_carrier(self, n, bw, center):
         grid = subband_grid(center, n, bw)
         assert np.mean(grid) == pytest.approx(center, rel=1e-12)
-
-
-class TestBinaryExport:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        subbands = []
-        for i in range(3):
-            m = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
-            subbands.append(SubbandChannel(center_frequency_hz=1e12 + i * 1e9,
-                                           matrix=m))
-        path = tmp_path / "snap.bin"
-        write_channel_binary(path, subbands)
-        back = read_channel_binary(path)
-        assert len(back) == 3
-        for orig, rec in zip(subbands, back):
-            assert rec.center_frequency_hz == orig.center_frequency_hz
-            assert np.array_equal(rec.matrix, orig.matrix)
-
-    def test_sidecar_describes_layout(self, tmp_path):
-        sb = SubbandChannel(center_frequency_hz=2e12,
-                            matrix=np.zeros((2, 3), dtype=complex))
-        path = tmp_path / "snap.bin"
-        write_channel_binary(path, [sb])
-        sidecar = (tmp_path / "snap.bin.txt").read_text()
-        assert "n_rx=2" in sidecar and "n_tx=3" in sidecar
-        assert "little-endian" in sidecar

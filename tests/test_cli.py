@@ -96,6 +96,19 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", [("mimo = 4", "mimo = 0"),
+                                     ("mimo = 4", "mimo = 4, -2"),
+                                     ("n_subbands = 4", "n_subbands = 0")],
+                         ids=["mimo_zero", "mimo_negative", "n_subbands_zero"])
+def test_bad_array_or_subband_setting_exits_2(tmp_path, capsys, setting):
+    cfg_path = tmp_path / "bad.ini"
+    cfg_path.write_text(CUSTOM_CONFIG.replace(*setting), encoding="utf-8")
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--samples", "0"],
                                    ["--samples", "6", "--threads", "0"],
                                    ["--samples", "6", "--threads", "-4"]])

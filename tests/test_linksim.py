@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debrisense.errors import ConfigError, EqualizationError
-from debrisense.linksim import (CsiEstimate, CsiMethod, complex_normal,
-                                compute_ber, estimate_csi, qpsk_demodulate,
-                                qpsk_modulate, transmit, zf_equalize)
+from debrisense.linksim import (ZF_RANK_TOL, CsiEstimate, CsiMethod,
+                                complex_normal, compute_ber, estimate_csi,
+                                qpsk_demodulate, qpsk_modulate, transmit,
+                                zf_equalize)
 
 
 def q_function(x):
@@ -97,8 +98,8 @@ class TestZeroForcing:
 
     @pytest.mark.parametrize("shape", [(4, 4), (16, 16), (64, 64), (6, 4)])
     def test_matches_pinv(self, shape):
-        # the LU solve (after a QR reduction when tall) is pinv(H) @ y up to
-        # rounding: a few ulps times the condition number of H
+        # the LU inverse (after a QR reduction when tall) gives pinv(H) @ y
+        # up to rounding: a few ulps times the condition number of H
         rng = np.random.default_rng(shape[0])
         for _ in range(5):
             h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -136,6 +137,64 @@ class TestZeroForcing:
     def test_without_full_column_rank_rejected(self, h):
         with pytest.raises(EqualizationError):
             zf_equalize(np.ones((h.shape[0], 5), dtype=complex),
+                        CsiEstimate(matrix=h, method=CsiMethod.PERFECT))
+
+    @pytest.mark.parametrize("kappa", [1e11, 1e13])
+    def test_ill_conditioned_verdict_is_the_svd_rule(self, kappa, monkeypatch):
+        # kappa_F >= kappa_2 is far above the certified range, so the SVD
+        # rule decides: full rank at 1e11, rank-deficient at 1e13
+        rng = np.random.default_rng(int(math.log10(kappa)))
+        u, _ = np.linalg.qr(complex_normal(rng, (16, 16)))
+        v, _ = np.linalg.qr(complex_normal(rng, (16, 16)))
+        h = (u * np.geomspace(1.0, 1.0 / kappa, 16)) @ v.conj().T
+        s = np.linalg.svd(h, compute_uv=False)
+        deficient = s[-1] <= ZF_RANK_TOL * s[0]
+        assert deficient == (kappa > 1.0 / ZF_RANK_TOL)
+        svd_calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            svd_calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        csi = CsiEstimate(matrix=h, method=CsiMethod.PERFECT)
+        y = complex_normal(rng, (16, 5))
+        if deficient:
+            with pytest.raises(EqualizationError):
+                zf_equalize(y, csi)
+        else:
+            assert np.all(np.isfinite(zf_equalize(y, csi)))
+        assert svd_calls == [1]
+
+    def test_well_conditioned_rank_certified_without_svd(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        h = complex_normal(rng, (64, 64))
+        y = complex_normal(rng, (64, 63))
+        expected = np.linalg.pinv(h) @ y
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the Frobenius bound should certify the rank")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        est = zf_equalize(y, CsiEstimate(matrix=h, method=CsiMethod.PERFECT))
+        np.testing.assert_allclose(est, expected, rtol=1e-9)
+
+    def test_exactly_singular_square_rejected(self):
+        # the LU inverse meets an exact zero pivot and raises LinAlgError
+        h = complex_normal(np.random.default_rng(5), (4, 4))
+        h[:, 2] = 0.0
+        with pytest.raises(EqualizationError):
+            zf_equalize(np.ones((4, 5), dtype=complex),
+                        CsiEstimate(matrix=h, method=CsiMethod.PERFECT))
+
+    def test_infinite_entry_rejected(self):
+        # the inverse is NaN, so kappa_F is not finite and the SVD decides;
+        # its singular values are NaN, which fails the rank rule
+        h = np.eye(4, dtype=complex)
+        h[1, 2] = np.inf
+        with pytest.raises(EqualizationError):
+            zf_equalize(np.ones((4, 5), dtype=complex),
                         CsiEstimate(matrix=h, method=CsiMethod.PERFECT))
 
     def test_frozen_ber_on_fixed_channel_at_10db(self):
