@@ -35,10 +35,9 @@ from .scene import (DebrisClass, DebrisObject, DebrisScene, LinkGeometry,
                     Mechanism, PathGeometry, SceneConfig, diffraction_excess_path,
                     excess_delay, generate_scene, incidence_angle, path_lengths,
                     perpendicular_clearance, scene_from_text, scene_to_text)
-from .sensing import (AlertRecord, FeatureVector, LabeledDataset,
-                      StandardizationParams, SvmModel, apply_standardizer,
-                      classify, detect, extract_features, fit_standardizer,
-                      load_model, model_from_json, model_to_json,
-                      onboard_pipeline, save_model, svm_train)
+from .sensing import (FeatureVector, LabeledDataset, StandardizationParams,
+                      SvmModel, apply_standardizer, extract_features,
+                      fit_standardizer, load_model, model_from_json,
+                      model_to_json, save_model, svm_train)
 
 __version__ = "0.1.0"

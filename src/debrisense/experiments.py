@@ -30,7 +30,7 @@ from .channel import (ArrayConfig, PathContribution, apply_rician_smallscale,
                       assemble_subband, steering_matrix, subband_grid)
 from .configio import SimulationConfig, CampaignGrid, default_config
 from .errors import ConfigError, DebrisenseError, EqualizationError, TrainingError
-from .linksim import (CsiMethod, complex_normal, estimate_csi,
+from .linksim import (CsiMethod, complex_normal_blocks, estimate_csi,
                       qpsk_demodulate, qpsk_modulate, transmit, zf_equalize)
 from .propagation import (Polarization, ScatterGeometry, diffracted_response,
                           los_response, reflected_response, scattered_response)
@@ -464,8 +464,9 @@ def draw_sample(cond: ConditionSpec, label: str, sample_idx: int,
             h = apply_rician_smallscale(h, k_db, fading_rng)
         bits = noise_rng.integers(0, 2, size=2 * cond.n_antennas * n_syms).astype(np.int8)
         frame = qpsk_modulate(bits).reshape(cond.n_antennas, n_syms)
-        noise_unit = complex_normal(noise_rng, (cond.n_antennas, n_syms))
-        error_unit = complex_normal(noise_rng, (cond.n_antennas, cond.n_antennas))
+        noise_unit, error_unit = complex_normal_blocks(
+            noise_rng, ((cond.n_antennas, n_syms),
+                        (cond.n_antennas, cond.n_antennas)))
         subbands.append((h, bits, frame, noise_unit, error_unit))
     return SampleDraw(sample_idx=sample_idx, label=label, flags=tuple(flags),
                       subbands=tuple(subbands))

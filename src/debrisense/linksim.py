@@ -37,17 +37,24 @@ class CsiEstimate:
     pilot_noise_variance: float = 0.0
 
 
+# QPSK constellation indexed by 2*b0 + b1
+_QPSK_POINTS = ((1.0 - 2.0 * np.array([0, 0, 1, 1]))
+                + 1j * (1.0 - 2.0 * np.array([0, 1, 0, 1]))) * _INV_SQRT2
+
+
 def qpsk_modulate(bits: np.ndarray) -> np.ndarray:
     """Gray-mapped unit-energy QPSK: bit pair (b0, b1) -> ((1-2b0)+j(1-2b1))/sqrt(2).
 
     The all-zeros pair maps to (1+1j)/sqrt(2); adjacent constellation
-    points differ in exactly one bit.
+    points differ in exactly one bit.  Bits must be 0 or 1.
     """
     bits = np.asarray(bits)
     if bits.size % 2 != 0:
         raise ValueError(f"bit count must be even, got {bits.size}")
-    pairs = bits.reshape(-1, 2)
-    return ((1.0 - 2.0 * pairs[:, 0]) + 1j * (1.0 - 2.0 * pairs[:, 1])) * _INV_SQRT2
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError("bits must be 0 or 1")
+    pairs = bits.reshape(-1, 2).astype(np.intp, copy=False)
+    return _QPSK_POINTS[2 * pairs[:, 0] + pairs[:, 1]]
 
 
 def qpsk_demodulate(symbols: np.ndarray) -> np.ndarray:
@@ -94,7 +101,27 @@ def transmit(h: np.ndarray, frame: np.ndarray, snr_db: float,
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """CN(0, 1) samples."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * _INV_SQRT2
+    return complex_normal_blocks(rng, (shape,))[0]
+
+
+def complex_normal_blocks(rng: np.random.Generator, shapes) -> list[np.ndarray]:
+    """CN(0, 1) blocks of the given shapes from one generator call.
+
+    Each block takes its real and then its imaginary parts from
+    consecutive normals and is scaled by 1/sqrt(2), so the blocks and the
+    generator's state after them equal those of one two-call draw
+    ``(re + 1j*im) / sqrt(2)`` per shape, in order.
+    """
+    blocks = [np.empty(shape, dtype=complex) for shape in shapes]
+    normals = rng.standard_normal(2 * sum(block.size for block in blocks))
+    start = 0
+    for block in blocks:
+        flat = block.reshape(-1)  # a view: the block is C-contiguous
+        flat.real = normals[start:start + block.size]
+        flat.imag = normals[start + block.size:start + 2 * block.size]
+        block *= _INV_SQRT2
+        start += 2 * block.size
+    return blocks
 
 
 def estimate_csi(h_true: np.ndarray, pilot_length: int, snr_db: float,
@@ -159,7 +186,12 @@ def zf_equalize(y: np.ndarray, csi: CsiEstimate) -> np.ndarray:
     # warning: an inverse too large to square reads inf, hence uncertified
     kappa_f = math.sqrt(float(np.vdot(h, h).real) * float(np.vdot(h_inv, h_inv).real))
     if not kappa_f * _ZF_BOUND_MARGIN < 1.0 / ZF_RANK_TOL:
-        s = np.linalg.svd(h, compute_uv=False)
+        try:
+            s = np.linalg.svd(h, compute_uv=False)
+        except np.linalg.LinAlgError:  # e.g. NaN entries
+            raise EqualizationError(
+                f"{h.shape[0]}x{h.shape[1]} CSI has no SVD; zero-forcing "
+                f"needs full column rank") from None
         if not s[-1] > ZF_RANK_TOL * s[0]:  # NaN values fail too
             raise EqualizationError(
                 f"{h.shape[0]}x{h.shape[1]} CSI has singular values "

@@ -9,12 +9,21 @@ negligible across the band of interest.
 All functions are pure; phases of delay and Doppler terms are wrapped to
 the principal value before exponentiation so that multi-gigacycle phase
 arguments do not lose the complex value to floating-point cancellation.
+
+Reflection, scattering and the Fresnel coefficients read a material at one
+frequency through a :class:`Medium`: its refractive index n, extinction
+coefficient kappa = alpha*c/(4*pi*f), complex index n - j*kappa and wave
+impedance.  :func:`medium` resolves it from the material tables once per
+(material, frequency) and memoizes it, so a campaign interpolates each
+material at each sub-band centre once, not once per path.  A frequency the
+tables do not cover raises MaterialError from every lookup at it.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -83,42 +92,71 @@ def los_response(f_hz: float, distance_m: float) -> complex:
 # Reflection
 # ---------------------------------------------------------------------------
 
-def complex_refractive_index(f_hz: float, material: MaterialProperties) -> complex:
-    """n - j*kappa with kappa = alpha*c/(4*pi*f)."""
+@dataclass(frozen=True)
+class Medium:
+    """A material's electromagnetic constants at one frequency.
+
+    ``n`` is the refractive index, ``kappa`` the extinction coefficient
+    alpha*c/(4*pi*f), ``n_c`` the complex index n - j*kappa and ``z`` the
+    intrinsic wave impedance in ohms.
+    """
+
+    n: float
+    kappa: float
+    n_c: complex
+    z: complex
+
+
+@functools.lru_cache(maxsize=1024)
+def medium(material: MaterialProperties, f_hz: float) -> Medium:
+    """Resolve ``material`` at ``f_hz`` (memoized per material and frequency).
+
+    Raises MaterialError where the material's tables do not cover ``f_hz``.
+    """
     n = material.refractive_index(f_hz)
     kappa = material.absorption(f_hz) * SPEED_OF_LIGHT / (4.0 * math.pi * f_hz)
-    return complex(n, -kappa)
+    eps_rel = complex(n * n - kappa * kappa, -2.0 * n * kappa)
+    return Medium(n=n, kappa=kappa, n_c=complex(n, -kappa),
+                  z=cmath.sqrt(VACUUM_PERMEABILITY / (VACUUM_PERMITTIVITY * eps_rel)))
+
+
+def complex_refractive_index(f_hz: float, material: MaterialProperties) -> complex:
+    """n - j*kappa with kappa = alpha*c/(4*pi*f)."""
+    return medium(material, f_hz).n_c
 
 
 def wave_impedance(f_hz: float, material: MaterialProperties) -> complex:
     """Intrinsic wave impedance of the (lossy) reflecting medium, ohms."""
     if f_hz <= 0:
         raise ValueError(f"frequency must be > 0, got {f_hz}")
-    n = material.refractive_index(f_hz)
-    alpha = material.absorption(f_hz)
-    k = alpha * SPEED_OF_LIGHT / (4.0 * math.pi * f_hz)
-    eps_rel = complex(n * n - k * k, -2.0 * n * k)
-    return cmath.sqrt(VACUUM_PERMEABILITY / (VACUUM_PERMITTIVITY * eps_rel))
+    return medium(material, f_hz).z
 
 
-def fresnel_coefficients(f_hz: float, theta_i: float,
-                         material: MaterialProperties) -> tuple[complex, complex]:
-    """(Gamma_TE, Gamma_TM) for a vacuum / material planar interface.
+def _fresnel(f_hz: float, theta_i: float, material: MaterialProperties,
+             pol: Polarization) -> complex:
+    """Gamma_pol for a vacuum / material planar interface.
 
     Uses the impedance-ratio form with the transmission angle from Snell's
     law evaluated with the complex refractive index.
     """
     if not (0.0 <= theta_i < math.pi / 2):
         raise ValueError(f"incidence angle must lie in [0, pi/2), got {theta_i}")
-    n_c = complex_refractive_index(f_hz, material)
+    med = medium(material, f_hz)
     z1 = FREE_SPACE_IMPEDANCE
-    z2 = wave_impedance(f_hz, material)
+    z2 = med.z
     cos_i = math.cos(theta_i)
-    sin_t = math.sin(theta_i) / n_c
+    sin_t = math.sin(theta_i) / med.n_c
     cos_t = cmath.sqrt(1.0 - sin_t * sin_t)
-    gamma_te = (z2 * cos_i - z1 * cos_t) / (z2 * cos_i + z1 * cos_t)
-    gamma_tm = (z2 * cos_t - z1 * cos_i) / (z2 * cos_t + z1 * cos_i)
-    return gamma_te, gamma_tm
+    if pol is Polarization.TE:
+        return (z2 * cos_i - z1 * cos_t) / (z2 * cos_i + z1 * cos_t)
+    return (z2 * cos_t - z1 * cos_i) / (z2 * cos_t + z1 * cos_i)
+
+
+def fresnel_coefficients(f_hz: float, theta_i: float,
+                         material: MaterialProperties) -> tuple[complex, complex]:
+    """(Gamma_TE, Gamma_TM) for a vacuum / material planar interface."""
+    return (_fresnel(f_hz, theta_i, material, Polarization.TE),
+            _fresnel(f_hz, theta_i, material, Polarization.TM))
 
 
 def roughness_coefficient(f_hz: float, sigma_m: float, theta_i: float) -> float:
@@ -134,8 +172,7 @@ def reflection_coefficient(f_hz: float, theta_i: float,
                            material: MaterialProperties,
                            pol: Polarization) -> complex:
     """Roughness-modified reflection coefficient rho(f) * Gamma_p."""
-    gamma_te, gamma_tm = fresnel_coefficients(f_hz, theta_i, material)
-    gamma = gamma_te if pol is Polarization.TE else gamma_tm
+    gamma = _fresnel(f_hz, theta_i, material, pol)
     return roughness_coefficient(f_hz, material.roughness_sigma_m, theta_i) * gamma
 
 
@@ -164,6 +201,14 @@ SERIES_REL_TOL = 1e-10
 SERIES_WARN_TOL = 1e-6
 
 
+@functools.lru_cache(maxsize=16)
+def _series_constants(max_terms: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """lgamma(m + 1) and log(m) at index m = 1..max_terms (index 0 unused)."""
+    ms = range(1, max_terms + 1)
+    return ((0.0, *(math.lgamma(m + 1) for m in ms)),
+            (0.0, *(math.log(m) for m in ms)))
+
+
 def scattering_series_sum(g_sca: float, vxy_sq_lcorr_sq: float,
                           max_terms: int = SERIES_MAX_TERMS) -> float:
     """Diffuse-lobe series  sum_m g^m/(m!*m) * exp(-vxy^2*lcorr^2/(4m)).
@@ -177,18 +222,23 @@ def scattering_series_sum(g_sca: float, vxy_sq_lcorr_sq: float,
         raise ValueError(f"roughness factor must be >= 0, got {g_sca}")
     if g_sca == 0.0:
         return 0.0
-    log_g = math.log(g_sca)
+    lgamma_m1, log_m = _series_constants(max_terms)
+    exp, log = math.exp, math.log
+    log_g = log(g_sca)
     log_sum = None
     last_rel = math.inf
     for m in range(1, max_terms + 1):
-        log_term = (m * log_g - math.lgamma(m + 1) - math.log(m)
+        log_term = (m * log_g - lgamma_m1[m] - log_m[m]
                     - vxy_sq_lcorr_sq / (4.0 * m))
+        # log(e^log_sum + e^log_term) about the larger exponent, whose own
+        # exp(0) term is written as the exact 1.0 it evaluates to
         if log_sum is None:
             log_sum = log_term
+        elif log_term > log_sum:
+            log_sum = log_term + log(exp(log_sum - log_term) + 1.0)
         else:
-            hi = max(log_sum, log_term)
-            log_sum = hi + math.log(math.exp(log_sum - hi) + math.exp(log_term - hi))
-        last_rel = math.exp(log_term - log_sum)
+            log_sum = log_sum + log(1.0 + exp(log_term - log_sum))
+        last_rel = exp(log_term - log_sum)
         if last_rel < SERIES_REL_TOL:
             break
     else:
@@ -198,6 +248,12 @@ def scattering_series_sum(g_sca: float, vxy_sq_lcorr_sq: float,
                 f"scattering series hit the {max_terms}-term cap before the "
                 f"{SERIES_WARN_TOL:g} relative tolerance", ConvergenceWarning)
     return math.exp(log_sum)
+
+
+def _sinc(t: float) -> float:
+    """np.sinc(t) of a float: sin(pi*t)/(pi*t), with the same np.sin ufunc."""
+    y = math.pi * (1e-20 if t == 0 else t)
+    return float(np.sin(y)) / y
 
 
 def scattering_coefficient(f_hz: float, geom: ScatterGeometry,
@@ -228,8 +284,8 @@ def scattering_coefficient(f_hz: float, geom: ScatterGeometry,
     vy = k * (-s2 * math.sin(geom.theta3))
     vxy_sq = vx * vx + vy * vy
     # unnormalized sinc: sin(x)/x
-    rho0 = np.sinc(vx * material.facet_lx_m / math.pi) * \
-        np.sinc(vy * material.facet_ly_m / math.pi)
+    rho0 = _sinc(vx * material.facet_lx_m / math.pi) * \
+        _sinc(vy * material.facet_ly_m / math.pi)
 
     sigma = material.roughness_sigma_m
     g_sca = (k * sigma * (c1 + c2)) ** 2
@@ -240,8 +296,7 @@ def scattering_coefficient(f_hz: float, geom: ScatterGeometry,
     g_rayleigh = (4.0 * math.pi * sigma * c1 / lam) ** 2
     bracket = (rho0 * rho0 + diffuse) * math.exp(-g_rayleigh)
 
-    gamma_te, gamma_tm = fresnel_coefficients(f_hz, geom.theta1, material)
-    gamma = gamma_te if pol is Polarization.TE else gamma_tm
+    gamma = _fresnel(f_hz, geom.theta1, material, pol)
     return gamma * math.sqrt(bracket)
 
 

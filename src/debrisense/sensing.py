@@ -1,15 +1,14 @@
-"""CSI-magnitude feature extraction and the two-stage detection pipeline.
+"""CSI-magnitude features and the models of the two-stage detection pipeline.
 
 The sensing chain mirrors the on-board processing flow: estimate CSI,
 reduce it to five magnitude statistics, standardize, run a binary
-debris-presence machine and, on a positive, a multi-class type machine.
-A positive detection emits an alert record to the run log.
+debris-presence machine and, on a positive, a multi-class type machine
+(campaigns run the two stages in ``experiments.evaluate_condition``).
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import warnings
 from dataclasses import dataclass
 
@@ -20,7 +19,6 @@ from .svm import (BinarySvm, KernelSpec, MultiClassSvm, _binary_from_dict,
                   _binary_to_dict, resolve_gamma, train_binary,
                   train_multiclass, FORMAT_VERSION, DEFAULT_TOL)
 
-logger = logging.getLogger("debrisense")
 
 FEATURE_NAMES = ("mean", "variance", "maximum", "minimum", "skewness")
 
@@ -193,75 +191,6 @@ def svm_train(dataset: LabeledDataset, kernel: str = "rbf", c: float = 1.0,
     multi = train_multiclass(z, dataset.labels, present, spec, c, tol)
     return SvmModel(kind="multiclass", kernel=spec, c=c, tol=tol,
                     classes=tuple(present), scaler=scaler, multi=multi)
-
-
-def detect(fv, model: SvmModel) -> bool:
-    """Binary debris-presence decision; decision value 0 counts as present."""
-    if model.kind != "binary":
-        raise ValueError("detection requires a binary model")
-    return model.decision_value(fv) >= 0.0
-
-
-def classify(fv, model: SvmModel) -> str:
-    """Debris type decision (one-vs-one vote for 3+ classes)."""
-    return model.predict(fv)
-
-
-# ---------------------------------------------------------------------------
-# On-board pipeline and alert records
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AlertRecord:
-    """Log record emitted on a positive detection."""
-
-    timestamp: float
-    detection_value: float
-    debris_class: str
-    features: tuple[float, ...]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "timestamp": self.timestamp,
-            "detection_value": self.detection_value,
-            "debris_class": self.debris_class,
-            "features": list(self.features),
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AlertRecord":
-        d = json.loads(text)
-        return cls(timestamp=d["timestamp"],
-                   detection_value=d["detection_value"],
-                   debris_class=d["debris_class"],
-                   features=tuple(d["features"]))
-
-
-def onboard_pipeline(csi, detection_model: SvmModel,
-                     classification_model: SvmModel,
-                     timestamp: float = 0.0,
-                     alert_sink=None) -> AlertRecord | None:
-    """Run extract -> detect -> (classify -> alert) on an estimated CSI block.
-
-    Returns the alert record on a positive detection, None otherwise.
-    ``alert_sink`` may be a callable or a list; by default the record goes
-    to the package logger.
-    """
-    fv = extract_features(csi)
-    value = detection_model.decision_value(fv)
-    if value < 0.0:
-        return None
-    debris_class = classify(fv, classification_model)
-    record = AlertRecord(timestamp=timestamp, detection_value=value,
-                         debris_class=debris_class,
-                         features=tuple(fv.as_array().tolist()))
-    if alert_sink is None:
-        logger.info("debris alert: %s", record.to_json())
-    elif callable(alert_sink):
-        alert_sink(record)
-    else:
-        alert_sink.append(record)
-    return record
 
 
 # ---------------------------------------------------------------------------

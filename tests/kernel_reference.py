@@ -1,0 +1,82 @@
+"""Per-sample kernels as they were before their cheaper forms replaced them.
+
+The QPSK mapper evaluated its formula per bit pair, CN(0, 1) blocks came
+from two generator calls each, the unnormalized sinc was ``np.sinc``, the
+scattering series recomputed ``lgamma(m + 1)`` and ``log(m)`` for every
+term and took both exponentials of each log-sum-exp step, and every
+Fresnel evaluation re-read the material tables.  The
+current kernels must return bit-identical values and leave the generator
+in the same state.
+"""
+
+import cmath
+import math
+import warnings
+
+import numpy as np
+
+from debrisense.constants import (FREE_SPACE_IMPEDANCE, SPEED_OF_LIGHT,
+                                  VACUUM_PERMEABILITY, VACUUM_PERMITTIVITY)
+from debrisense.errors import ConvergenceWarning
+from debrisense.propagation import (SERIES_MAX_TERMS, SERIES_REL_TOL,
+                                    SERIES_WARN_TOL)
+
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def qpsk_modulate(bits):
+    pairs = np.asarray(bits).reshape(-1, 2)
+    return ((1.0 - 2.0 * pairs[:, 0]) + 1j * (1.0 - 2.0 * pairs[:, 1])) * INV_SQRT2
+
+
+def complex_normal(rng, shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * INV_SQRT2
+
+
+def scattering_series_sum(g_sca, vxy_sq_lcorr_sq, max_terms=SERIES_MAX_TERMS):
+    if g_sca == 0.0:
+        return 0.0
+    log_g = math.log(g_sca)
+    log_sum = None
+    last_rel = math.inf
+    for m in range(1, max_terms + 1):
+        log_term = (m * log_g - math.lgamma(m + 1) - math.log(m)
+                    - vxy_sq_lcorr_sq / (4.0 * m))
+        if log_sum is None:
+            log_sum = log_term
+        else:
+            hi = max(log_sum, log_term)
+            log_sum = hi + math.log(math.exp(log_sum - hi) + math.exp(log_term - hi))
+        last_rel = math.exp(log_term - log_sum)
+        if last_rel < SERIES_REL_TOL:
+            break
+    else:
+        if last_rel > SERIES_WARN_TOL:
+            warnings.warn("scattering series hit the term cap", ConvergenceWarning)
+    return math.exp(log_sum)
+
+
+def complex_refractive_index(f_hz, material):
+    n = material.refractive_index(f_hz)
+    kappa = material.absorption(f_hz) * SPEED_OF_LIGHT / (4.0 * math.pi * f_hz)
+    return complex(n, -kappa)
+
+
+def wave_impedance(f_hz, material):
+    n = material.refractive_index(f_hz)
+    alpha = material.absorption(f_hz)
+    k = alpha * SPEED_OF_LIGHT / (4.0 * math.pi * f_hz)
+    eps_rel = complex(n * n - k * k, -2.0 * n * k)
+    return cmath.sqrt(VACUUM_PERMEABILITY / (VACUUM_PERMITTIVITY * eps_rel))
+
+
+def fresnel_coefficients(f_hz, theta_i, material):
+    n_c = complex_refractive_index(f_hz, material)
+    z1 = FREE_SPACE_IMPEDANCE
+    z2 = wave_impedance(f_hz, material)
+    cos_i = math.cos(theta_i)
+    sin_t = math.sin(theta_i) / n_c
+    cos_t = cmath.sqrt(1.0 - sin_t * sin_t)
+    gamma_te = (z2 * cos_i - z1 * cos_t) / (z2 * cos_i + z1 * cos_t)
+    gamma_tm = (z2 * cos_t - z1 * cos_i) / (z2 * cos_t + z1 * cos_i)
+    return gamma_te, gamma_tm

@@ -6,9 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from debrisense.channel import ArrayConfig, subband_grid
 from debrisense.configio import CampaignGrid, default_config
 from debrisense.errors import TrainingError
-from debrisense.experiments import (balanced_partition, draw_interactions,
+from debrisense.experiments import (Interaction, balanced_partition,
+                                    build_paths, draw_interactions,
                                     enumerate_conditions, evaluate_condition,
                                     run_campaign, run_condition, snr_families,
                                     table_config, trend_config,
@@ -233,6 +235,35 @@ class TestPathGeometryFlow:
                 if mech is Mechanism.DIFFRACTION:
                     assert pg.s1_km + pg.s2_km == pytest.approx(pg.d_km)
                     assert pg.clearance_m > 0.0
+
+    def test_gain_outside_material_tables_fails_only_those_subbands(self):
+        # glass tables that end between sub-bands 3 and 4 of a 3 THz grid:
+        # the upper four sub-bands raise MaterialError for both material
+        # mechanisms, and the paths keep their gains below that edge
+        cfg = default_config()
+        grid = subband_grid(3e12, 8, cfg.channel.bandwidth_hz)
+        edge = 0.5 * (grid[3] + grid[4])
+        glass = cfg.materials["smooth_glass"]
+        short = replace(glass, n_table=((20e9, 1.95), (edge, 1.95)),
+                        alpha_table=((20e9, 200.0), (edge, 200.0)))
+        cfg = replace(cfg, materials={**cfg.materials, "smooth_glass": short})
+        scene = generate_scene(SceneConfig(
+            geometry=LinkGeometry(distance_km=500.0, velocity_km_s=7.0),
+            density_per_km3=2e-5, debris_class=DebrisClass.SMOOTH_GLASS,
+            semi_axes_km=(250.0, 50.0, 50.0)), seed=1)
+        interactions = [Interaction(object_index=0, mechanism=mech,
+                                    scatter_azimuth=0.5)
+                        for mech in (Mechanism.REFLECTION, Mechanism.SCATTERING)]
+        flags = []
+        paths = build_paths(scene, interactions, grid, cfg, flags,
+                            ArrayConfig(n_tx=4, n_rx=4))
+        assert [p.mechanism for p in paths[1:]] == [Mechanism.REFLECTION,
+                                                    Mechanism.SCATTERING]
+        for path in paths[1:]:
+            assert all(g is not None for g in path.gains[:4])
+            assert all(g is None for g in path.gains[4:])
+        assert flags == (["path_error:reflection"] * 4
+                         + ["path_error:scattering"] * 4)
 
     def test_rank_deficient_channel_flagged_at_half_ber(self):
         # perfect CSI over an empty scene leaves a rank-1 channel: every

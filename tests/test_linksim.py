@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_reference as ref
 from debrisense.errors import ConfigError, EqualizationError
 from debrisense.linksim import (ZF_RANK_TOL, CsiEstimate, CsiMethod,
-                                complex_normal, compute_ber, estimate_csi,
-                                qpsk_demodulate, qpsk_modulate, transmit,
-                                zf_equalize)
+                                complex_normal, complex_normal_blocks,
+                                compute_ber, estimate_csi, qpsk_demodulate,
+                                qpsk_modulate, transmit, zf_equalize)
 
 
 def q_function(x):
@@ -44,6 +45,48 @@ class TestQpsk:
     def test_odd_bit_count_rejected(self):
         with pytest.raises(ValueError):
             qpsk_modulate(np.array([0, 1, 0]))
+
+    @pytest.mark.parametrize("bits", [[0, 2], [-1, 0], [1, 0, 0, 3],
+                                      [0.5, 1.0]],
+                             ids=["two", "minus_one", "three", "half"])
+    def test_non_binary_bits_rejected(self, bits):
+        with pytest.raises(ValueError):
+            qpsk_modulate(np.array(bits))
+
+    def test_every_pair_matches_formula_bit_for_bit(self):
+        bits = np.array([0, 0, 0, 1, 1, 0, 1, 1], dtype=np.int8)
+        assert qpsk_modulate(bits).tobytes() == ref.qpsk_modulate(bits).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, bool])
+    def test_random_frames_match_formula_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(9)
+        for size in (2, 64, 2 * 16 * 63, 2 * 64 * 62):
+            bits = rng.integers(0, 2, size=size).astype(dtype)
+            got = qpsk_modulate(bits)
+            assert got.dtype == np.complex128
+            assert got.tobytes() == ref.qpsk_modulate(bits).tobytes()
+
+
+class TestComplexNormal:
+    @pytest.mark.parametrize("n,length", [(4, 63), (16, 62), (64, 63), (1, 1)])
+    def test_blocks_match_two_calls_each(self, n, length):
+        # one generator call per sub-band yields the noise and CSI-error
+        # blocks of two complex_normal calls each, and the draw after them
+        # is the same
+        a, b = np.random.default_rng(n), np.random.default_rng(n)
+        noise, error = complex_normal_blocks(a, ((n, length), (n, n)))
+        assert noise.tobytes() == ref.complex_normal(b, (n, length)).tobytes()
+        assert error.tobytes() == ref.complex_normal(b, (n, n)).tobytes()
+        assert noise.shape == (n, length) and error.shape == (n, n)
+        assert noise.flags.c_contiguous and error.flags.c_contiguous
+        assert a.standard_normal() == b.standard_normal()
+
+    @pytest.mark.parametrize("shape", [200, (3, 5), (2, 3, 4)])
+    def test_single_block_matches_formula(self, shape):
+        a, b = np.random.default_rng(1), np.random.default_rng(1)
+        assert complex_normal(a, shape).tobytes() == \
+            ref.complex_normal(b, shape).tobytes()
+        assert a.integers(0, 2 ** 62) == b.integers(0, 2 ** 62)
 
 
 class TestTransmit:
@@ -195,6 +238,16 @@ class TestZeroForcing:
         h[1, 2] = np.inf
         with pytest.raises(EqualizationError):
             zf_equalize(np.ones((4, 5), dtype=complex),
+                        CsiEstimate(matrix=h, method=CsiMethod.PERFECT))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 4)], ids=["square", "tall"])
+    def test_nan_entry_rejected(self, shape):
+        # the inverse is NaN, so the SVD decides, and LAPACK's SVD does not
+        # converge on NaN input
+        h = np.eye(*shape, dtype=complex)
+        h[1, 2] = np.nan
+        with pytest.raises(EqualizationError):
+            zf_equalize(np.ones((shape[0], 5), dtype=complex),
                         CsiEstimate(matrix=h, method=CsiMethod.PERFECT))
 
     def test_frozen_ber_on_fixed_channel_at_10db(self):

@@ -7,6 +7,7 @@ checked against explicit factor-by-factor recomputation.
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,15 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_reference as ref
 from debrisense.constants import FREE_SPACE_IMPEDANCE, SPEED_OF_LIGHT
-from debrisense.errors import ConvergenceWarning, GrazingGeometryError
+from debrisense.errors import (ConvergenceWarning, GrazingGeometryError,
+                               MaterialError)
 from debrisense.materials import MaterialProperties, default_materials
-from debrisense.propagation import (Polarization, ScatterGeometry,
+from debrisense.propagation import (Polarization, ScatterGeometry, _sinc,
                                     complex_refractive_index,
                                     diffracted_response, diffraction_loss,
                                     doppler_factor, fresnel_coefficients,
                                     fresnel_kirchhoff_parameter, fspl_amplitude,
-                                    los_response, reflected_response,
+                                    los_response, medium,
+                                    reflected_response,
                                     reflection_coefficient,
                                     roughness_coefficient,
                                     scattered_response, scattering_coefficient,
@@ -31,6 +35,11 @@ from debrisense.propagation import (Polarization, ScatterGeometry,
 
 GLASS = default_materials()["smooth_glass"]
 METAL = default_materials()["rough_metal"]
+MIXED = MaterialProperties(
+    name="mixed", n_table=((100e9, 1.9), (1e12, 2.1)),
+    alpha_table=((100e9, 100.0), (550e9, 900.0), (1e12, 300.0)),
+    roughness_sigma_m=5e-6, correlation_length_m=500e-6,
+    facet_lx_m=0.1, facet_ly_m=0.1)
 
 
 def lossless(n, sigma=0.0):
@@ -320,6 +329,71 @@ class TestScatteringSeries:
     def test_nonconvergence_warns(self):
         with pytest.warns(ConvergenceWarning):
             scattering_series_sum(400.0, 0.0, max_terms=100)
+
+
+class TestKernelsMatchReference:
+    """The memoized medium, the scalar sinc and the tabulated series
+    constants reproduce the per-call formulas bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(default_materials()))
+    def test_medium_matches_per_call_formulas(self, name):
+        material = default_materials()[name]
+        table_f = [f for f, _ in material.n_table + material.alpha_table]
+        freqs = sorted(set(table_f) | set(np.geomspace(min(table_f),
+                                                       max(table_f), 25)))
+        for f in freqs:
+            f = float(f)
+            med = medium(material, f)
+            assert medium(material, f) is med  # resolved once, then reused
+            assert med.n == material.refractive_index(f)
+            assert med.n_c == ref.complex_refractive_index(f, material)
+            assert med.kappa == -med.n_c.imag
+            assert med.z == ref.wave_impedance(f, material)
+            assert complex_refractive_index(f, material) == med.n_c
+            assert wave_impedance(f, material) == med.z
+            for theta in (0.0, 0.3, 1.2, math.radians(89.9)):
+                assert fresnel_coefficients(f, theta, material) == \
+                    ref.fresnel_coefficients(f, theta, material)
+
+    def test_medium_on_interpolated_tables(self):
+        for f in (100e9, 317e9, 550e9, 999e9, 1e12):
+            assert medium(MIXED, f).n_c == ref.complex_refractive_index(f, MIXED)
+            assert medium(MIXED, f).z == ref.wave_impedance(f, MIXED)
+
+    def test_medium_outside_tables_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(MaterialError):
+                medium(MIXED, 2e12)
+            with pytest.raises(MaterialError):
+                fresnel_coefficients(2e12, 0.3, MIXED)
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, 1e-300, 0.25, -3.7, 1.0, 123.456,
+                                   -1e6])
+    def test_sinc_matches_numpy(self, t):
+        got = _sinc(t)
+        assert type(got) is float
+        assert got == np.sinc(t)
+
+    def test_sinc_matches_numpy_on_random_arguments(self):
+        for t in np.random.default_rng(3).normal(scale=50.0, size=2000):
+            assert _sinc(float(t)) == np.sinc(float(t))
+
+    @pytest.mark.parametrize("max_terms", [100, 200, 400])
+    @pytest.mark.parametrize("g,vxy2l2", [(1e-4, 0.0), (0.5, 3.0), (10.0, 1.0),
+                                          (120.0, 0.5), (250.0, 40.0),
+                                          (400.0, 0.0), (439.0, 0.0)])
+    def test_series_matches_per_term_constants(self, g, vxy2l2, max_terms):
+        with warnings.catch_warnings(record=True) as old_warnings:
+            warnings.simplefilter("always")
+            expected = ref.scattering_series_sum(g, vxy2l2, max_terms)
+        with warnings.catch_warnings(record=True) as new_warnings:
+            warnings.simplefilter("always")
+            got = scattering_series_sum(g, vxy2l2, max_terms)
+        assert got == expected
+        assert ([w.category for w in new_warnings]
+                == [w.category for w in old_warnings])
+        if g >= 400.0:  # these hit the cap at every max_terms here
+            assert [w.category for w in new_warnings] == [ConvergenceWarning]
 
 
 class TestScatteringCoefficient:

@@ -1,4 +1,4 @@
-"""Feature extraction, standardization and the two-stage pipeline."""
+"""Feature extraction, standardization and the SVM models."""
 
 import json
 import math
@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from debrisense.errors import TrainingError
-from debrisense.sensing import (AlertRecord, FeatureVector, LabeledDataset,
-                                apply_standardizer, classify, detect,
-                                extract_features, fit_standardizer,
-                                load_model, model_from_json, model_to_json,
-                                onboard_pipeline, save_model, svm_train)
+from debrisense.sensing import (FeatureVector, LabeledDataset,
+                                apply_standardizer, extract_features,
+                                fit_standardizer, load_model, model_from_json,
+                                model_to_json, save_model, svm_train)
 from debrisense.svm import BinarySvm, KernelSpec
 
 
@@ -128,9 +127,9 @@ class TestSvmTrainAndPredict:
             classes=("none", "debris"))
         model = svm_train(binary, positive_class="debris")
         fv = FeatureVector(*ds.features[30])  # a debris row
-        assert detect(fv, model) is True
+        assert model.predict(fv) == "debris"
         fv0 = FeatureVector(*ds.features[0])
-        assert detect(fv0, model) is False
+        assert model.predict(fv0) == "none"
 
     def test_zero_decision_counts_as_debris(self):
         # symmetric two-point machine: decision at the midpoint is exactly 0
@@ -145,7 +144,7 @@ class TestSvmTrainAndPredict:
                          classes=("none", "debris"), scaler=scaler,
                          binary=machine, positive_class="debris")
         assert model.decision_value(np.array([0.0])) == 0.0
-        assert detect(np.array([0.0]), model) is True
+        assert model.predict(np.array([0.0])) == "debris"
 
     def test_multiclass_classify(self):
         rng = np.random.default_rng(4)
@@ -157,7 +156,7 @@ class TestSvmTrainAndPredict:
             classes=("smooth_glass", "rough_metal"))
         model = svm_train(sub, positive_class="rough_metal")
         fv = FeatureVector(*ds.features[debris_rows[0]])
-        assert classify(fv, model) == ds.labels[debris_rows[0]]
+        assert model.predict(fv) == ds.labels[debris_rows[0]]
 
     def test_affine_feature_rescaling_is_invisible(self):
         # scaling a raw feature column consistently on train and test data
@@ -206,68 +205,6 @@ class TestSerialization:
     def test_version_guard(self):
         with pytest.raises(ValueError):
             model_from_json(json.dumps({"format_version": 999}))
-
-
-class TestPipeline:
-    def build_models(self):
-        rng = np.random.default_rng(7)
-        ds = toy_dataset(rng)
-        det_model = svm_train(LabeledDataset(
-            features=ds.features,
-            labels=tuple("debris" if l != "none" else "none" for l in ds.labels),
-            classes=("none", "debris")), positive_class="debris")
-        debris_rows = [i for i, l in enumerate(ds.labels) if l != "none"]
-        cls_model = svm_train(LabeledDataset(
-            features=ds.features[debris_rows],
-            labels=tuple(ds.labels[i] for i in debris_rows),
-            classes=("smooth_glass", "rough_metal")),
-            positive_class="rough_metal")
-        return ds, det_model, cls_model
-
-    def test_positive_detection_emits_alert(self):
-        ds, det_model, cls_model = self.build_models()
-        # synthesize CSI whose features sit in the glass cluster
-        target = ds.features[30]
-        csi = self.csi_for_features(target)
-        sink = []
-        record = onboard_pipeline(csi, det_model, cls_model, timestamp=12.5,
-                                  alert_sink=sink)
-        assert record is not None
-        assert sink == [record]
-        assert record.timestamp == 12.5
-
-    def test_negative_detection_skips_classifier(self, monkeypatch):
-        ds, det_model, cls_model = self.build_models()
-        calls = {"n": 0}
-        original = cls_model.predict
-
-        def counting(fv):
-            calls["n"] += 1
-            return original(fv)
-
-        monkeypatch.setattr(cls_model, "predict", counting)
-        csi = self.csi_for_features(ds.features[0])  # a no-debris row
-        record = onboard_pipeline(csi, det_model, cls_model, alert_sink=[])
-        assert record is None
-        assert calls["n"] == 0
-
-    def test_alert_record_round_trip(self):
-        record = AlertRecord(timestamp=3.25, detection_value=1.75,
-                             debris_class="rough_metal",
-                             features=(1.0, 2.0, 3.0, 0.5, -0.25))
-        assert AlertRecord.from_json(record.to_json()) == record
-
-    @staticmethod
-    def csi_for_features(target):
-        """Invert the feature map approximately: a 2-value magnitude set
-        with the requested mean/max/min structure is enough to land in the
-        right cluster for these well-separated toys."""
-        # build magnitudes matching mean and spread of the target cluster
-        mu, var = target[0], max(target[1], 0.0)
-        half = math.sqrt(var)
-        mags = np.array([mu - half, mu + half])
-        mags = np.clip(mags, 1e-6, None)
-        return mags.astype(complex)
 
 
 def test_feature_vector_array_order_matches_csv_schema():
