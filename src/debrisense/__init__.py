@@ -5,8 +5,7 @@ QPSK link BER, extracts CSI-magnitude statistics and runs a two-stage
 SVM pipeline for debris detection and classification.
 """
 
-from .channel import (ArrayConfig, PathContribution, SubbandChannel,
-                      apply_rician_smallscale, assemble_subband,
+from .channel import (apply_rician_smallscale, assemble_subband,
                       steering_vector, subband_grid)
 from .configio import (CampaignGrid, ChannelConfig, InteractionTable,
                        LinkConfig, LinkSimConfig, SceneSettings,
@@ -34,7 +33,7 @@ from .propagation import (Polarization, ScatterGeometry, diffracted_response,
 from .scene import (DebrisClass, DebrisObject, DebrisScene, LinkGeometry,
                     Mechanism, PathGeometry, SceneConfig, diffraction_excess_path,
                     excess_delay, generate_scene, incidence_angle, path_lengths,
-                    perpendicular_clearance, scene_from_text, scene_to_text)
+                    perpendicular_clearance, scene_to_text)
 from .sensing import (FeatureVector, LabeledDataset, StandardizationParams,
                       SvmModel, apply_standardizer, extract_features,
                       fit_standardizer, load_model, model_from_json,

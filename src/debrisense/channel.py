@@ -9,54 +9,10 @@ Rician diffuse component while preserving expected Frobenius energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .propagation import doppler_factor
-from .scene import Mechanism
-
-
-@dataclass(frozen=True)
-class ArrayConfig:
-    """Uniform linear arrays at both ends, spacings in wavelengths."""
-
-    n_tx: int
-    n_rx: int
-    spacing_tx: float = 0.5
-    spacing_rx: float = 0.5
-
-    def __post_init__(self):
-        if self.n_tx < 1 or self.n_rx < 1:
-            raise ValueError("array sizes must be >= 1")
-        if self.spacing_tx <= 0 or self.spacing_rx <= 0:
-            raise ValueError("element spacings must be > 0")
-
-
-@dataclass(frozen=True)
-class PathContribution:
-    """One resolved propagation path feeding the channel assembly.
-
-    Angles are (azimuth, elevation) pairs in the local array frames;
-    the steering response depends on them through the directional cosine
-    sin(elevation) * cos(azimuth).  ``steering`` may carry the path's
-    :func:`steering_matrix`, built once by a caller that assembles many
-    sub-bands from the same path; it is built from the angles otherwise.
-    """
-
-    mechanism: Mechanism
-    gain: complex
-    aod: tuple[float, float]
-    aoa: tuple[float, float]
-    steering: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class SubbandChannel:
-    """Channel matrix of one sub-band."""
-
-    center_frequency_hz: float
-    matrix: np.ndarray
 
 
 def steering_vector(n: int, spacing: float, theta: float, phi: float) -> np.ndarray:
@@ -72,34 +28,30 @@ def steering_vector(n: int, spacing: float, theta: float, phi: float) -> np.ndar
     return np.exp(-2j * math.pi * spacing * omega * k)
 
 
-def steering_matrix(config: ArrayConfig, aod, aoa) -> np.ndarray:
+def steering_matrix(n: int, spacing: float, el_tx: float, el_rx: float) -> np.ndarray:
     """Rank-1 receive x transmit steering outer product of one path.
 
-    Element spacings are in wavelengths, so it does not depend on
-    frequency and serves every sub-band of the path.
+    Both ends are n-element ULAs with the same spacing; a path leaves and
+    arrives at elevations ``el_tx`` and ``el_rx`` (azimuth 0).  Spacings
+    are in wavelengths, so the matrix does not depend on frequency and
+    serves every sub-band of the path.
     """
-    sr = steering_vector(config.n_rx, config.spacing_rx, aoa[1], aoa[0])
-    st = steering_vector(config.n_tx, config.spacing_tx, aod[1], aod[0])
-    return np.outer(sr, st)
+    return np.outer(steering_vector(n, spacing, el_rx, 0.0),
+                    steering_vector(n, spacing, el_tx, 0.0))
 
 
-def assemble_subband(paths, config: ArrayConfig, f_hz: float, v_m_s: float,
-                     los_indicator: int = 1) -> SubbandChannel:
-    """Sum per-path rank-1 outer products into the sub-band channel matrix.
+def assemble_subband(terms, n: int, f_hz: float, v_m_s: float) -> np.ndarray:
+    """Sum a sub-band's rank-1 terms into its n x n channel matrix.
 
-    The line-of-sight term is multiplied by ``los_indicator``; every path
-    picks up the common Doppler phasor of the link velocity.
+    ``terms`` holds one (gain, steering matrix) pair per path present in
+    the sub-band; every path picks up the common Doppler phasor of the
+    link velocity.
     """
-    h = np.zeros((config.n_rx, config.n_tx), dtype=np.complex128)
+    h = np.zeros((n, n), dtype=np.complex128)
     dop = doppler_factor(f_hz, v_m_s)
-    for path in paths:
-        if path.mechanism is Mechanism.LOS and los_indicator == 0:
-            continue
-        steering = path.steering
-        if steering is None:
-            steering = steering_matrix(config, path.aod, path.aoa)
-        h += path.gain * dop * steering
-    return SubbandChannel(center_frequency_hz=f_hz, matrix=h)
+    for gain, steering in terms:
+        h += gain * dop * steering
+    return h
 
 
 def apply_rician_smallscale(h_det: np.ndarray, k_factor_db: float,

@@ -18,8 +18,19 @@ import numpy as np
 from .errors import ConfigError
 from .materials import default_materials, load_materials
 from .scene import DebrisClass, Mechanism
+from .svm import KERNEL_KINDS
 
 MECHANISM_KEYS = ("reflection", "scattering", "diffraction")
+
+
+def _interp_log_f(table: str, freqs, values, f_hz: float) -> float:
+    """Linear interpolation in log-frequency between sorted breakpoints;
+    a query outside them raises ConfigError naming ``table``."""
+    if not (freqs[0] <= f_hz <= freqs[-1]):
+        raise ConfigError(f"{table} does not cover {f_hz:.4g} Hz "
+                          f"(range {freqs[0]:.4g}..{freqs[-1]:.4g})")
+    return float(np.interp(math.log10(f_hz), [math.log10(f) for f in freqs],
+                           values))
 
 
 @dataclass(frozen=True)
@@ -65,14 +76,8 @@ class InteractionTable:
         key = (debris_class.value, mechanism.value)
         if key not in self.probabilities:
             raise ConfigError(f"no interaction probabilities for {key}")
-        freqs = self.frequencies_hz
-        if not (freqs[0] <= f_hz <= freqs[-1]):
-            raise ConfigError(
-                f"interaction table does not cover {f_hz:.4g} Hz "
-                f"(range {freqs[0]:.4g}..{freqs[-1]:.4g})")
-        return float(np.interp(math.log10(f_hz),
-                               [math.log10(f) for f in freqs],
-                               self.probabilities[key]))
+        return _interp_log_f("interaction table", self.frequencies_hz,
+                             self.probabilities[key], f_hz)
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,6 @@ class ChannelConfig:
     bandwidth_hz: float = 10e9
     spacing: float = 0.5
     polarization: str = "te"
-    los_indicator: int = 1
     k_factor_frequencies_hz: tuple[float, ...] = (30e9, 300e9, 3e12, 5e12)
     k_factor_db: dict = field(default_factory=lambda: {
         "smooth_glass": (11.5, 13.0, 21.0, 21.0),
@@ -98,12 +102,8 @@ class ChannelConfig:
     def k_factor(self, debris_class: str, f_hz: float) -> float:
         if debris_class not in self.k_factor_db:
             raise ConfigError(f"no K-factor for class {debris_class!r}")
-        freqs = self.k_factor_frequencies_hz
-        if not (freqs[0] <= f_hz <= freqs[-1]):
-            raise ConfigError(f"K-factor table does not cover {f_hz:.4g} Hz")
-        return float(np.interp(math.log10(f_hz),
-                               [math.log10(f) for f in freqs],
-                               self.k_factor_db[debris_class]))
+        return _interp_log_f("K-factor table", self.k_factor_frequencies_hz,
+                             self.k_factor_db[debris_class], f_hz)
 
 
 @dataclass(frozen=True)
@@ -191,6 +191,42 @@ def _strings(raw: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in raw.split(",") if v.strip())
 
 
+# Keys each section parses; [interactions] also takes <class>_<mechanism>
+# rows and [channel] takes k_factor_db_<class> rows.
+_SECTION_KEYS = {
+    "link": ("distance_km", "velocity_km_s"),
+    "scene": ("minor_semi_axes_km", "debris_size_m"),
+    "materials": ("file",),
+    "interactions": ("frequencies_hz",),
+    "channel": ("n_subbands", "bandwidth_hz", "spacing", "polarization",
+                "k_factor_frequencies_hz"),
+    "svm": ("kernel", "c", "tolerance", "gamma", "train_fraction"),
+    "campaign": ("kind", "frequencies_hz", "snr_db", "mimo",
+                 "densities_per_km3", "classes", "samples_per_condition"),
+}
+
+
+def _known_key(section: str, key: str) -> bool:
+    if key in _SECTION_KEYS[section]:
+        return True
+    if section == "interactions":
+        return key.rpartition("_")[2] in MECHANISM_KEYS
+    return section == "channel" and key.startswith("k_factor_db_")
+
+
+def _check_keys(parser: configparser.ConfigParser) -> None:
+    """Reject sections and keys that nothing parses, so a typo fails loudly."""
+    if parser.defaults():
+        raise ConfigError("the [DEFAULT] section is not supported, got keys "
+                          + ", ".join(sorted(parser.defaults())))
+    for section in parser.sections():
+        if section not in _SECTION_KEYS:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in parser[section]:
+            if not _known_key(section, key):
+                raise ConfigError(f"unknown config key {key!r} in [{section}]")
+
+
 def parse_config(text: str, base: SimulationConfig | None = None,
                  config_dir=None) -> SimulationConfig:
     """Parse an INI config, overriding the shipped defaults."""
@@ -200,6 +236,7 @@ def parse_config(text: str, base: SimulationConfig | None = None,
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad config file: {exc}") from exc
+    _check_keys(parser)
 
     try:
         if parser.has_section("link"):
@@ -231,12 +268,9 @@ def parse_config(text: str, base: SimulationConfig | None = None,
                      if "frequencies_hz" in sec else cfg.interactions.frequencies_hz)
             probs = dict(cfg.interactions.probabilities)
             for key in sec:
-                if key == "frequencies_hz":
-                    continue
-                cls, _, mech = key.rpartition("_")
-                if mech not in MECHANISM_KEYS:
-                    raise ConfigError(f"unknown interaction key {key!r}")
-                probs[(cls, mech)] = _floats(sec[key])
+                if key != "frequencies_hz":
+                    cls, _, mech = key.rpartition("_")
+                    probs[(cls, mech)] = _floats(sec[key])
             cfg = replace(cfg, interactions=InteractionTable(
                 frequencies_hz=freqs, probabilities=probs))
         if parser.has_section("channel"):
@@ -253,7 +287,6 @@ def parse_config(text: str, base: SimulationConfig | None = None,
                 bandwidth_hz=sec.getfloat("bandwidth_hz", cfg.channel.bandwidth_hz),
                 spacing=sec.getfloat("spacing", cfg.channel.spacing),
                 polarization=sec.get("polarization", cfg.channel.polarization),
-                los_indicator=sec.getint("los_indicator", cfg.channel.los_indicator),
                 k_factor_frequencies_hz=k_freqs,
                 k_factor_db=kf))
         if parser.has_section("svm"):
@@ -301,12 +334,28 @@ def load_config(path) -> SimulationConfig:
 def _validate(cfg: SimulationConfig) -> None:
     if cfg.channel.n_subbands < 1:
         raise ConfigError(f"n_subbands must be >= 1, got {cfg.channel.n_subbands}")
+    if not 0.0 <= cfg.channel.bandwidth_hz < math.inf:
+        raise ConfigError(f"bandwidth_hz must be finite and >= 0, "
+                          f"got {cfg.channel.bandwidth_hz}")
+    if not 0.0 < cfg.channel.spacing < math.inf:
+        raise ConfigError(f"spacing must be finite and > 0, got {cfg.channel.spacing}")
+    k_freqs = list(cfg.channel.k_factor_frequencies_hz)
+    if not k_freqs or sorted(k_freqs) != k_freqs:
+        raise ConfigError("k_factor_frequencies_hz must be sorted and non-empty")
     if any(n < 1 for n in cfg.campaign.mimo_sizes):
         raise ConfigError(f"mimo sizes must be positive, got {cfg.campaign.mimo_sizes}")
     if cfg.channel.polarization not in ("te", "tm"):
         raise ConfigError(f"polarization must be te|tm, got {cfg.channel.polarization!r}")
     if cfg.linksim.csi_method not in ("least_squares", "perfect"):
         raise ConfigError(f"unknown CSI method {cfg.linksim.csi_method!r}")
+    if cfg.svm.kernel not in KERNEL_KINDS:
+        raise ConfigError(f"kernel must be {'|'.join(KERNEL_KINDS)}, "
+                          f"got {cfg.svm.kernel!r}")
+    if not 0.0 < cfg.svm.c < math.inf:
+        raise ConfigError(f"svm c must be finite and > 0, got {cfg.svm.c}")
+    if cfg.svm.gamma is not None and not 0.0 < cfg.svm.gamma < math.inf:
+        raise ConfigError(f"svm gamma must be auto or finite and > 0, "
+                          f"got {cfg.svm.gamma}")
     if not (0.0 < cfg.svm.train_fraction < 1.0):
         raise ConfigError("train_fraction must lie in (0, 1)")
     for cls in cfg.campaign.classes:
@@ -360,7 +409,6 @@ def reference_text() -> str:
         f"bandwidth_hz = {cfg.channel.bandwidth_hz:g}",
         f"spacing = {cfg.channel.spacing}          # element spacing / wavelength",
         f"polarization = {cfg.channel.polarization}",
-        f"los_indicator = {cfg.channel.los_indicator}",
         "# Rician K (dB) applied when the channel carries debris paths,",
         "# per class, log-f interpolated over the breakpoints below:",
         "k_factor_frequencies_hz = " + ", ".join(

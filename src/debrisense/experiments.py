@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (ArrayConfig, PathContribution, apply_rician_smallscale,
-                      assemble_subband, steering_matrix, subband_grid)
+from .channel import (apply_rician_smallscale, assemble_subband,
+                      steering_matrix, subband_grid)
 from .configio import SimulationConfig, CampaignGrid, default_config
 from .errors import ConfigError, DebrisenseError, EqualizationError, TrainingError
 from .linksim import (CsiMethod, complex_normal_blocks, estimate_csi,
@@ -96,9 +96,7 @@ class SampleRecord:
 
 @dataclass(frozen=True)
 class MetricsSummary:
-    n_records: int
     mean_ber: float
-    ber_ci95: float
     det_acc: float
     cls_acc: float
     confusion: dict
@@ -274,9 +272,9 @@ def draw_interactions(scene: DebrisScene, f_hz: float, table,
     return out
 
 
-def _angles(scene: DebrisScene, position_km) -> tuple[tuple[float, float],
-                                                      tuple[float, float]]:
-    """(aod, aoa) for a debris relay; arrays are ULAs along the y axis."""
+def _angles(scene: DebrisScene, position_km) -> tuple[float, float]:
+    """Departure and arrival elevations of a debris relay; arrays are ULAs
+    along the y axis."""
     tx = scene.tx_position_km
     rx = scene.rx_position_km
     p = np.asarray(position_km)
@@ -284,7 +282,7 @@ def _angles(scene: DebrisScene, position_km) -> tuple[tuple[float, float],
     u_r = (p - rx) / np.linalg.norm(p - rx)
     el_t = math.asin(float(np.clip(u_t[1], -1.0, 1.0)))
     el_r = math.asin(float(np.clip(u_r[1], -1.0, 1.0)))
-    return (0.0, el_t), (0.0, el_r)
+    return el_t, el_r
 
 
 def interaction_geometry(scene: DebrisScene, object_index: int,
@@ -337,22 +335,15 @@ class SamplePath:
     where evaluating it raised.
     """
     mechanism: Mechanism
-    aod: tuple[float, float]
-    aoa: tuple[float, float]
     steering: np.ndarray
     gains: tuple
 
-    def at(self, k: int) -> PathContribution:
-        """The path as assembled into sub-band ``k``."""
-        return PathContribution(mechanism=self.mechanism, gain=self.gains[k],
-                                aod=self.aod, aoa=self.aoa,
-                                steering=self.steering)
-
 
 def build_paths(scene: DebrisScene, interactions, grid, cfg: SimulationConfig,
-                flags: list, array: ArrayConfig) -> list[SamplePath]:
+                flags: list, n_antennas: int) -> list[SamplePath]:
     """Resolve the line of sight and every activated interaction into paths.
 
+    Both ends are ``n_antennas``-element ULAs with the configured spacing.
     Geometry, angles and steering do not depend on frequency and are
     resolved once; gains are evaluated at each sub-band centre of ``grid``.
     Geometry failures (grazing scattering, no knife-edge projection) skip
@@ -360,11 +351,11 @@ def build_paths(scene: DebrisScene, interactions, grid, cfg: SimulationConfig,
     append a flag instead of aborting the sample.
     """
     pol = Polarization.TE if cfg.channel.polarization == "te" else Polarization.TM
+    spacing = cfg.channel.spacing
     freqs = [float(f) for f in grid]
-    boresight = (0.0, 0.0)
     paths = [SamplePath(
-        mechanism=Mechanism.LOS, aod=boresight, aoa=boresight,
-        steering=steering_matrix(array, boresight, boresight),
+        mechanism=Mechanism.LOS,
+        steering=steering_matrix(n_antennas, spacing, 0.0, 0.0),
         gains=tuple(los_response(f, scene.geometry.distance_m) for f in freqs))]
     for inter in interactions:
         obj = scene.objects[inter.object_index]
@@ -387,21 +378,17 @@ def build_paths(scene: DebrisScene, interactions, grid, cfg: SimulationConfig,
             except DebrisenseError:
                 gains.append(None)
                 flags.append(error_flag)
-        aod, aoa = _angles(scene, obj.position_km)
-        paths.append(SamplePath(mechanism=inter.mechanism, aod=aod, aoa=aoa,
-                                steering=steering_matrix(array, aod, aoa),
-                                gains=tuple(gains)))
+        el_tx, el_rx = _angles(scene, obj.position_km)
+        paths.append(SamplePath(
+            mechanism=inter.mechanism,
+            steering=steering_matrix(n_antennas, spacing, el_tx, el_rx),
+            gains=tuple(gains)))
     return paths
 
 
 # ---------------------------------------------------------------------------
 # Per-sample simulation
 # ---------------------------------------------------------------------------
-
-def _frame_lengths(total_symbols: int, n_subbands: int) -> list[int]:
-    base, extra = divmod(total_symbols, n_subbands)
-    return [base + (1 if i < extra else 0) for i in range(n_subbands)]
-
 
 @dataclass(frozen=True)
 class SampleDraw:
@@ -446,20 +433,19 @@ def draw_sample(cond: ConditionSpec, label: str, sample_idx: int,
     interactions = draw_interactions(scene, cond.frequency_hz,
                                      cfg.interactions, inter_rng)
 
-    array = ArrayConfig(n_tx=cond.n_antennas, n_rx=cond.n_antennas,
-                        spacing_tx=cfg.channel.spacing,
-                        spacing_rx=cfg.channel.spacing)
     grid = subband_grid(cond.frequency_hz, cfg.channel.n_subbands,
                         cfg.channel.bandwidth_hz)
-    lengths = _frame_lengths(cfg.linksim.frame_symbols, cfg.channel.n_subbands)
-    paths = build_paths(scene, interactions, grid, cfg, flags, array)
+    lengths = balanced_partition(cfg.linksim.frame_symbols,
+                                 range(cfg.channel.n_subbands)).values()
+    paths = build_paths(scene, interactions, grid, cfg, flags, cond.n_antennas)
 
     subbands = []
     for k, (f_k, n_syms) in enumerate(zip(grid, lengths)):
-        present = [p.at(k) for p in paths if p.gains[k] is not None]
-        h = assemble_subband(present, array, float(f_k), geometry.velocity_m_s,
-                             los_indicator=cfg.channel.los_indicator).matrix
-        if len(present) > 1:
+        terms = [(p.gains[k], p.steering) for p in paths
+                 if p.gains[k] is not None]
+        h = assemble_subband(terms, cond.n_antennas, float(f_k),
+                             geometry.velocity_m_s)
+        if len(terms) > 1:
             k_db = cfg.channel.k_factor(label, cond.frequency_hz)
             h = apply_rician_smallscale(h, k_db, fading_rng)
         bits = noise_rng.integers(0, 2, size=2 * cond.n_antennas * n_syms).astype(np.int8)
@@ -634,12 +620,8 @@ def evaluate_condition(records, split_seed: int,
                 confusion[rec.label][cls_pred] += 1
                 cls_hits += int(cls_pred == rec.label)
 
-    bers = np.array([r.ber for r in records])
-    ci = 1.96 * float(np.std(bers, ddof=1)) / math.sqrt(len(bers)) if len(bers) > 1 else 0.0
     return MetricsSummary(
-        n_records=len(records),
-        mean_ber=float(np.mean(bers)),
-        ber_ci95=ci,
+        mean_ber=float(np.mean([r.ber for r in records])),
         det_acc=det_hits / len(test_idx),
         cls_acc=(cls_hits / cls_total) if cls_total else float("nan"),
         confusion=confusion,

@@ -281,34 +281,3 @@ def scene_to_text(scene: DebrisScene) -> str:
                      f"{obj.characteristic_size_m!r}")
     return "\n".join(lines) + "\n"
 
-
-def scene_from_text(text: str) -> DebrisScene:
-    """Parse a scene serialized by :func:`scene_to_text`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ConfigError("empty scene text")
-    header = {}
-    for token in lines[0].split():
-        key, _, value = token.partition("=")
-        header[key] = value
-    try:
-        semi = tuple(float(v) for v in header["semi_axes"].split(","))
-        geometry = LinkGeometry(distance_km=float(header["d_km"]),
-                                velocity_km_s=float(header["v_kms"]))
-        density = float(header["density"])
-        seed = int(header["seed"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad scene header: {lines[0]!r}") from exc
-    objects = []
-    for line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise ConfigError(f"bad scene object line: {line!r}")
-        objects.append(DebrisObject(
-            position_km=(float(fields[0]), float(fields[1]), float(fields[2])),
-            debris_class=DebrisClass(fields[3]),
-            characteristic_size_m=float(fields[4]),
-        ))
-    return DebrisScene(geometry=geometry, semi_axes_km=semi,
-                       density_per_km3=density, objects=tuple(objects),
-                       seed=seed)

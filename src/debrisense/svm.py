@@ -25,6 +25,7 @@ from .errors import TrainingError
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_PASSES = 100_000
+KERNEL_KINDS = ("linear", "rbf")
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +38,7 @@ class KernelSpec:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("linear", "rbf"):
+        if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel {self.kind!r}")
 
     def matrix(self, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -89,8 +90,7 @@ class BinarySvm:
 
     def dual_objective(self) -> float:
         k = self.kernel.matrix(self.support_x, self.support_x)
-        ay = self.alpha * self.support_y
-        return float(np.sum(self.alpha) - 0.5 * ay @ k @ ay)
+        return _dual_value(k, self.support_y, self.alpha)
 
     def kkt_violation(self) -> float:
         """Largest violation of the optimality conditions on the training set."""

@@ -3,23 +3,26 @@
 The QPSK mapper evaluated its formula per bit pair, CN(0, 1) blocks came
 from two generator calls each, the unnormalized sinc was ``np.sinc``, the
 scattering series recomputed ``lgamma(m + 1)`` and ``log(m)`` for every
-term and took both exponentials of each log-sum-exp step, and every
-Fresnel evaluation re-read the material tables.  The
-current kernels must return bit-identical values and leave the generator
-in the same state.
+term and took both exponentials of each log-sum-exp step, every Fresnel
+evaluation re-read the material tables, and a sub-band channel was summed
+from per-sub-band path records carrying (azimuth, elevation) angle pairs.
+The current kernels must return bit-identical values and leave the
+generator in the same state.
 """
 
 import cmath
 import math
 import warnings
+from collections import namedtuple
 
 import numpy as np
 
+from debrisense.channel import steering_vector
 from debrisense.constants import (FREE_SPACE_IMPEDANCE, SPEED_OF_LIGHT,
                                   VACUUM_PERMEABILITY, VACUUM_PERMITTIVITY)
 from debrisense.errors import ConvergenceWarning
 from debrisense.propagation import (SERIES_MAX_TERMS, SERIES_REL_TOL,
-                                    SERIES_WARN_TOL)
+                                    SERIES_WARN_TOL, doppler_factor)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -80,3 +83,22 @@ def fresnel_coefficients(f_hz, theta_i, material):
     gamma_te = (z2 * cos_i - z1 * cos_t) / (z2 * cos_i + z1 * cos_t)
     gamma_tm = (z2 * cos_t - z1 * cos_i) / (z2 * cos_t + z1 * cos_i)
     return gamma_te, gamma_tm
+
+
+ArrayConfig = namedtuple("ArrayConfig", "n_tx n_rx spacing_tx spacing_rx",
+                         defaults=(0.5, 0.5))
+PathContribution = namedtuple("PathContribution", "gain aod aoa")
+
+
+def steering_matrix(config, aod, aoa):
+    sr = steering_vector(config.n_rx, config.spacing_rx, aoa[1], aoa[0])
+    st = steering_vector(config.n_tx, config.spacing_tx, aod[1], aod[0])
+    return np.outer(sr, st)
+
+
+def assemble_subband(paths, config, f_hz, v_m_s):
+    h = np.zeros((config.n_rx, config.n_tx), dtype=np.complex128)
+    dop = doppler_factor(f_hz, v_m_s)
+    for path in paths:
+        h += path.gain * dop * steering_matrix(config, path.aod, path.aoa)
+    return h

@@ -7,21 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debrisense.channel import (ArrayConfig, PathContribution,
-                                apply_rician_smallscale, assemble_subband,
-                                steering_vector, subband_grid)
+import kernel_reference as ref
+from debrisense.channel import (apply_rician_smallscale, assemble_subband,
+                                steering_matrix, steering_vector, subband_grid)
 from debrisense.propagation import doppler_factor, los_response
-from debrisense.scene import Mechanism
 
 
-def los_path(gain=1.0 + 0j):
-    return PathContribution(mechanism=Mechanism.LOS, gain=gain,
-                            aod=(0.0, 0.0), aoa=(0.0, 0.0))
+def los_term(n, gain=1.0 + 0j):
+    return gain, steering_matrix(n, 0.5, 0.0, 0.0)
 
 
-def debris_path(gain, el_t=0.2, el_r=-0.1):
-    return PathContribution(mechanism=Mechanism.REFLECTION, gain=gain,
-                            aod=(0.0, el_t), aoa=(0.0, el_r))
+def debris_term(n, gain, el_t=0.2, el_r=-0.1):
+    return gain, steering_matrix(n, 0.5, el_t, el_r)
 
 
 class TestSteering:
@@ -52,48 +49,70 @@ class TestSteering:
 
 class TestAssembly:
     def test_empty_paths_zero_matrix(self):
-        sb = assemble_subband([], ArrayConfig(4, 4), 1e12, 0.0)
-        assert np.all(sb.matrix == 0)
+        h = assemble_subband([], 4, 1e12, 0.0)
+        assert h.shape == (4, 4)
+        assert np.all(h == 0)
 
     def test_single_los_scalar_channel(self):
         f, v = 1e12, 7e3
         gain = los_response(f, 5e5)
-        sb = assemble_subband([los_path(gain)], ArrayConfig(1, 1), f, v)
-        assert sb.matrix.shape == (1, 1)
-        assert sb.matrix[0, 0] == pytest.approx(gain * doppler_factor(f, v),
-                                                rel=1e-12)
+        h = assemble_subband([los_term(1, gain)], 1, f, v)
+        assert h.shape == (1, 1)
+        assert h[0, 0] == pytest.approx(gain * doppler_factor(f, v), rel=1e-12)
 
     def test_rank_bounded_by_path_count(self):
         rng = np.random.default_rng(3)
-        cfg = ArrayConfig(16, 16)
         for n_paths in (1, 2, 3, 5):
-            paths = [los_path()] + [
-                debris_path(rng.normal() + 1j * rng.normal(),
+            terms = [los_term(16)] + [
+                debris_term(16, rng.normal() + 1j * rng.normal(),
                             rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
                 for _ in range(n_paths - 1)]
-            sb = assemble_subband(paths, cfg, 3e12, 7e3)
-            sv = np.linalg.svd(sb.matrix, compute_uv=False)
+            h = assemble_subband(terms, 16, 3e12, 7e3)
+            sv = np.linalg.svd(h, compute_uv=False)
             assert np.sum(sv > 1e-12 * sv[0]) <= n_paths
 
     def test_linear_in_gains(self):
-        cfg = ArrayConfig(8, 8)
-        paths = [los_path(0.3 + 0.1j), debris_path(0.05 - 0.02j)]
-        scaled = [PathContribution(p.mechanism, 2.5 * p.gain, p.aod, p.aoa)
-                  for p in paths]
-        h1 = assemble_subband(paths, cfg, 3e12, 7e3).matrix
-        h2 = assemble_subband(scaled, cfg, 3e12, 7e3).matrix
+        terms = [los_term(8, 0.3 + 0.1j), debris_term(8, 0.05 - 0.02j)]
+        scaled = [(2.5 * gain, steering) for gain, steering in terms]
+        h1 = assemble_subband(terms, 8, 3e12, 7e3)
+        h2 = assemble_subband(scaled, 8, 3e12, 7e3)
         assert np.allclose(h2, 2.5 * h1, rtol=1e-12)
 
-    def test_los_indicator_removes_rank_one_term(self):
-        cfg = ArrayConfig(8, 8)
-        paths = [los_path(0.3 + 0.1j), debris_path(0.05 - 0.02j)]
-        h_on = assemble_subband(paths, cfg, 3e12, 7e3, los_indicator=1).matrix
-        h_off = assemble_subband(paths, cfg, 3e12, 7e3, los_indicator=0).matrix
-        delta = h_on - h_off
-        sv = np.linalg.svd(delta, compute_uv=False)
-        assert np.sum(sv > 1e-12 * sv[0]) == 1
-        only_los = assemble_subband([paths[0]], cfg, 3e12, 7e3).matrix
-        assert np.allclose(delta, only_los, rtol=1e-12)
+
+class TestAssemblyMatchesReference:
+    """Steering and assembly equal the angle-pair path records bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 4, 16, 64])
+    def test_steering_matrix(self, n):
+        rng = np.random.default_rng(n)
+        array = ref.ArrayConfig(n, n)
+        for el_t, el_r in [(0.0, 0.0), *rng.uniform(-1.5, 1.5, size=(20, 2))]:
+            got = steering_matrix(n, 0.5, el_t, el_r)
+            want = ref.steering_matrix(array, (0.0, el_t), (0.0, el_r))
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 4, 16, 64])
+    def test_subbands_with_a_failed_gain(self, n):
+        # a line of sight plus four debris paths over eight sub-bands; the
+        # second debris path's gain failed at sub-band 5 and is left out there
+        rng = np.random.default_rng(100 + n)
+        grid = subband_grid(3e12, 8, 10e9)
+        angles = [(0.0, 0.0), *rng.uniform(-1.5, 1.5, size=(4, 2))]
+        gains = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
+        gains = [list(row) for row in gains]
+        gains[2][5] = None
+        array = ref.ArrayConfig(n, n)
+        steering = [steering_matrix(n, 0.5, el_t, el_r) for el_t, el_r in angles]
+        for k, f_k in enumerate(grid):
+            present = [p for p in range(5) if gains[p][k] is not None]
+            assert len(present) == (4 if k == 5 else 5)
+            got = assemble_subband([(gains[p][k], steering[p]) for p in present],
+                                   n, float(f_k), 7e3)
+            want = ref.assemble_subband(
+                [ref.PathContribution(gains[p][k], (0.0, angles[p][0]),
+                                      (0.0, angles[p][1])) for p in present],
+                array, float(f_k), 7e3)
+            assert np.array_equal(got, want)
 
 
 class TestRician:

@@ -98,8 +98,15 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("setting", [("mimo = 4", "mimo = 0"),
                                      ("mimo = 4", "mimo = 4, -2"),
-                                     ("n_subbands = 4", "n_subbands = 0")],
-                         ids=["mimo_zero", "mimo_negative", "n_subbands_zero"])
+                                     ("n_subbands = 4", "n_subbands = 0"),
+                                     ("n_subbands = 4", "spacing = 0"),
+                                     ("n_subbands = 4", "bandwidth_hz = -1e9"),
+                                     ("[channel]", "[svm]\nkernel = poly\n"
+                                                   "[channel]"),
+                                     ("[channel]", "[svm]\nc = 0\n[channel]")],
+                         ids=["mimo_zero", "mimo_negative", "n_subbands_zero",
+                              "spacing_zero", "bandwidth_negative",
+                              "kernel_unknown", "c_zero"])
 def test_bad_array_or_subband_setting_exits_2(tmp_path, capsys, setting):
     cfg_path = tmp_path / "bad.ini"
     cfg_path.write_text(CUSTOM_CONFIG.replace(*setting), encoding="utf-8")

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from debrisense.configio import (default_config, parse_config,
-                                 DEFAULT_INTERACTIONS)
+                                 reference_text, DEFAULT_INTERACTIONS)
 from debrisense.errors import ConfigError
 from debrisense.scene import DebrisClass, Mechanism
 
@@ -115,10 +115,35 @@ class TestValidation:
         "[interactions]\nsmooth_glass_reflection = 0.1, 0.2\n",
         "[interactions]\nsmooth_glass_reflection = 0.1, 0.2, 0.3, 1.7\n",
         "[interactions]\nsmooth_glass_warp = 0.1, 0.2, 0.3, 0.4\n",
+        "[channel]\nspacing = 0\n",
+        "[channel]\nspacing = -0.5\n",
+        "[channel]\nbandwidth_hz = -1e9\n",
+        "[channel]\nk_factor_frequencies_hz = 30e9, 3e12, 300e9, 5e12\n",
+        "[svm]\nkernel = poly\n",
+        "[svm]\nc = 0\n",
+        "[svm]\nc = -1\n",
+        "[svm]\ngamma = 0\n",
+        "[svm]\ngamma = -1\n",
+        # keys and sections that nothing parses
+        "[channel]\nn_subband = 4\n",
+        "[channel]\nlos_indicator = 0\n",
+        "[svm]\nkernal = linear\n",
+        "[intractions]\nsmooth_glass_reflection = 0.1, 0.2, 0.3, 0.4\n",
+        "[materials]\nfiles = mats.ini\n",
+        "[DEFAULT]\nn_subbands = 4\n",
     ])
     def test_bad_values_rejected(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    def test_unknown_key_named_in_error(self):
+        with pytest.raises(ConfigError, match="los_indicator"):
+            parse_config("[channel]\nlos_indicator = 1\n")
+
+    def test_reference_text_parses_to_defaults(self):
+        assert parse_config(reference_text()) == default_config()
+        # an empty [DEFAULT] section passes no keys to the others
+        assert parse_config("[DEFAULT]\n" + reference_text()) == default_config()
 
     def test_campaign_class_without_material_rejected(self):
         with pytest.raises(ConfigError):

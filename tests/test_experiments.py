@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from debrisense.channel import ArrayConfig, subband_grid
+from debrisense.channel import subband_grid
 from debrisense.configio import CampaignGrid, default_config
 from debrisense.errors import TrainingError
 from debrisense.experiments import (Interaction, balanced_partition,
@@ -255,8 +255,7 @@ class TestPathGeometryFlow:
                                     scatter_azimuth=0.5)
                         for mech in (Mechanism.REFLECTION, Mechanism.SCATTERING)]
         flags = []
-        paths = build_paths(scene, interactions, grid, cfg, flags,
-                            ArrayConfig(n_tx=4, n_rx=4))
+        paths = build_paths(scene, interactions, grid, cfg, flags, 4)
         assert [p.mechanism for p in paths[1:]] == [Mechanism.REFLECTION,
                                                     Mechanism.SCATTERING]
         for path in paths[1:]:

@@ -13,7 +13,7 @@ from debrisense.scene import (DebrisClass, LinkGeometry, SceneConfig,
                               diffraction_excess_path, ellipsoid_volume_km3,
                               excess_delay, generate_scene, incidence_angle,
                               path_lengths, perpendicular_clearance,
-                              scene_from_text, scene_to_text)
+                              scene_to_text)
 
 
 def make_config(density, debris_class=DebrisClass.SMOOTH_GLASS, semi=None):
@@ -164,18 +164,3 @@ class TestPerpendicularClearance:
         assert perpendicular_clearance((0, 0, 0), (500, 0, 0), (600, 3, 0)) is None
         assert perpendicular_clearance((0, 0, 0), (500, 0, 0), (-1, 3, 0)) is None
 
-
-class TestSceneText:
-    def test_round_trip(self):
-        scene = generate_scene(make_config(1e-6), seed=21)
-        text = scene_to_text(scene)
-        back = scene_from_text(text)
-        assert back.geometry == scene.geometry
-        assert back.semi_axes_km == scene.semi_axes_km
-        assert back.density_per_km3 == scene.density_per_km3
-        assert back.seed == scene.seed
-        assert back.objects == scene.objects
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ConfigError):
-            scene_from_text("not a header\n")
