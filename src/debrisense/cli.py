@@ -17,11 +17,13 @@ import sys
 
 import numpy as np
 
-from .configio import load_config, reference_text
+from .configio import SvmSettings, load_config, reference_text
 from .errors import ConfigError, DebrisenseError
 from .experiments import (NO_DEBRIS_LABEL, reproduce_table, run_campaign,
                           write_campaign_outputs)
-from .sensing import LabeledDataset, load_model, save_model, svm_train
+from .sensing import (FeatureVector, LabeledDataset, load_model, save_model,
+                      svm_train)
+from .svm import KERNEL_KINDS
 
 
 def _read_samples_csv(path):
@@ -64,6 +66,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    SvmSettings(kernel=args.kernel, c=args.c, gamma=args.gamma)  # ConfigError if bad
     features, labels = _read_samples_csv(args.data)
     if args.binary:
         labels = tuple("debris" if lab != NO_DEBRIS_LABEL else lab
@@ -93,7 +96,6 @@ def _cmd_evaluate(args) -> int:
                        for lab in labels)
     hits = 0
     confusion: dict = {}
-    from .sensing import FeatureVector
     for row, truth in zip(features, labels):
         fv = FeatureVector(*row)
         pred = model.predict(fv)
@@ -138,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train an SVM from a samples CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--kernel", choices=("linear", "rbf"), default="rbf")
+    p.add_argument("--kernel", choices=KERNEL_KINDS, default="rbf")
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--binary", action="store_true",

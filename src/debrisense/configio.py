@@ -1,9 +1,10 @@
 """Simulation configuration: defaults, INI parsing, reference generation.
 
 Config files are INI text with sections [link], [scene], [materials],
-[interactions], [channel], [svm], [campaign].  Every value has a shipped
-default; a user file only overrides what it names.  ``reference_text``
-emits the fully commented default file.
+[interactions], [channel], [linksim], [svm], [campaign].  Every value has a
+shipped default; a user file only overrides what it names.  ``_KEYS``
+declares each INI key once; parsing, the unknown-key check and
+``reference_text`` (the fully commented default file) all read it.
 """
 
 from __future__ import annotations
@@ -12,15 +13,26 @@ import configparser
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
+from .linksim import CsiMethod
 from .materials import default_materials, load_materials
+from .propagation import Polarization
 from .scene import DebrisClass, Mechanism
 from .svm import KERNEL_KINDS
 
 MECHANISM_KEYS = ("reflection", "scattering", "diffraction")
+CAMPAIGN_KINDS = ("density_frequency", "frequency_snr", "mimo_frequency", "trend")
+_POLARIZATIONS = tuple(p.value for p in Polarization)
+_CSI_METHODS = tuple(m.value for m in CsiMethod)
+
+
+def _check_choice(name: str, value: str, allowed: tuple[str, ...]) -> None:
+    if value not in allowed:
+        raise ConfigError(f"{name} must be {'|'.join(allowed)}, got {value!r}")
 
 
 def _interp_log_f(table: str, freqs, values, f_hz: float) -> float:
@@ -108,18 +120,30 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class LinkSimConfig:
-    frame_symbols: int = 500       # QPSK symbols per antenna per sample
-    pilot_factor: int = 2          # pilot length = factor * Nt
+    frame_symbols: int = 500
+    pilot_factor: int = 2
     csi_method: str = "least_squares"
 
 
 @dataclass(frozen=True)
 class SvmSettings:
+    """SVM training settings; a bad value raises ConfigError on construction."""
+
     kernel: str = "rbf"
     c: float = 1.0
     tol: float = 1e-3
     gamma: float | None = None     # None: 1/(n_features * var)
     train_fraction: float = 0.7
+
+    def __post_init__(self):
+        _check_choice("kernel", self.kernel, KERNEL_KINDS)
+        if not 0.0 < self.c < math.inf:
+            raise ConfigError(f"svm c must be finite and > 0, got {self.c}")
+        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
+            raise ConfigError(f"svm gamma must be auto or finite and > 0, "
+                              f"got {self.gamma}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigError("train_fraction must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -139,9 +163,7 @@ class CampaignGrid:
                 raise ConfigError(f"campaign list {name} must be non-empty")
         if self.samples_per_condition < 2 * len(self.classes):
             raise ConfigError("need >= 2 samples per class per condition")
-        if self.kind not in ("density_frequency", "frequency_snr",
-                             "mimo_frequency", "trend"):
-            raise ConfigError(f"unknown campaign kind {self.kind!r}")
+        _check_choice("campaign kind", self.kind, CAMPAIGN_KINDS)
 
 
 # Activation probabilities rise with frequency (shorter wavelengths make
@@ -176,7 +198,7 @@ def default_config() -> SimulationConfig:
 
 
 # ---------------------------------------------------------------------------
-# INI parsing
+# The key table
 # ---------------------------------------------------------------------------
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -191,137 +213,114 @@ def _strings(raw: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in raw.split(",") if v.strip())
 
 
-# Keys each section parses; [interactions] also takes <class>_<mechanism>
-# rows and [channel] takes k_factor_db_<class> rows.
-_SECTION_KEYS = {
-    "link": ("distance_km", "velocity_km_s"),
-    "scene": ("minor_semi_axes_km", "debris_size_m"),
-    "materials": ("file",),
-    "interactions": ("frequencies_hz",),
-    "channel": ("n_subbands", "bandwidth_hz", "spacing", "polarization",
-                "k_factor_frequencies_hz"),
-    "svm": ("kernel", "c", "tolerance", "gamma", "train_fraction"),
-    "campaign": ("kind", "frequencies_hz", "snr_db", "mimo",
-                 "densities_per_km3", "classes", "samples_per_condition"),
+def _pair(raw: str) -> tuple[float, ...]:
+    values = _floats(raw)
+    if len(values) != 2:
+        raise ValueError(f"needs two values, got {len(values)}")
+    return values
+
+
+def _gamma(raw: str) -> float | None:
+    return None if raw.strip() in ("", "auto") else float(raw)
+
+
+class _Key(NamedTuple):
+    parse: Callable[[str], object]
+    note: str = ""
+    attr: str | None = None   # the dataclass field, when not named as the key
+
+
+# Section -> INI key -> how it is parsed, in reference order.  Each section
+# is the SimulationConfig field of the same name.  Besides these keys,
+# [interactions] takes <class>_<mechanism> rows, [channel] takes
+# k_factor_db_<class> rows and [materials] takes ``file``.
+_KEYS = {
+    "link": {
+        "distance_km": _Key(float, "tx-rx separation"),
+        "velocity_km_s": _Key(float, "relative velocity (Doppler)"),
+    },
+    "scene": {
+        "minor_semi_axes_km": _Key(_pair, "ellipsoid minors; the major is distance/2"),
+        "debris_size_m": _Key(float),
+    },
+    "materials": {},
+    "interactions": {
+        "frequencies_hz": _Key(_floats, "log-f breakpoints of the activation rows below"),
+    },
+    "channel": {
+        "n_subbands": _Key(int),
+        "bandwidth_hz": _Key(float),
+        "spacing": _Key(float, "element spacing / wavelength"),
+        "polarization": _Key(str, " | ".join(_POLARIZATIONS)),
+        "k_factor_frequencies_hz": _Key(_floats, "log-f breakpoints of the Rician K (dB) "
+                                                 "rows below"),
+    },
+    "linksim": {
+        "frame_symbols": _Key(int, "QPSK symbols per antenna per sample, >= n_subbands"),
+        "pilot_factor": _Key(int, "pilot length = factor * Nt, >= 1"),
+        "csi_method": _Key(str, " | ".join(_CSI_METHODS)),
+    },
+    "svm": {
+        "kernel": _Key(str, " | ".join(KERNEL_KINDS)),
+        "c": _Key(float),
+        "tolerance": _Key(float, attr="tol"),
+        "gamma": _Key(_gamma, "rbf width; auto = 1/(n_features*var)"),
+        "train_fraction": _Key(float),
+    },
+    "campaign": {
+        "kind": _Key(str, " | ".join(CAMPAIGN_KINDS)),
+        "frequencies_hz": _Key(_floats),
+        "snr_db": _Key(_floats, attr="snr_values_db"),
+        "mimo": _Key(_ints, attr="mimo_sizes"),
+        "densities_per_km3": _Key(_floats),
+        "classes": _Key(_strings),
+        "samples_per_condition": _Key(int),
+    },
 }
 
 
-def _known_key(section: str, key: str) -> bool:
-    if key in _SECTION_KEYS[section]:
-        return True
-    if section == "interactions":
-        return key.rpartition("_")[2] in MECHANISM_KEYS
-    return section == "channel" and key.startswith("k_factor_db_")
+def parse_config(text: str, config_dir=None) -> SimulationConfig:
+    """Parse an INI config, overriding the shipped defaults.
 
-
-def _check_keys(parser: configparser.ConfigParser) -> None:
-    """Reject sections and keys that nothing parses, so a typo fails loudly."""
-    if parser.defaults():
-        raise ConfigError("the [DEFAULT] section is not supported, got keys "
-                          + ", ".join(sorted(parser.defaults())))
-    for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if not _known_key(section, key):
-                raise ConfigError(f"unknown config key {key!r} in [{section}]")
-
-
-def parse_config(text: str, base: SimulationConfig | None = None,
-                 config_dir=None) -> SimulationConfig:
-    """Parse an INI config, overriding the shipped defaults."""
-    cfg = base or default_config()
+    A section or key that nothing parses raises ConfigError, so a typo
+    fails loudly.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad config file: {exc}") from exc
-    _check_keys(parser)
+    if parser.defaults():
+        raise ConfigError("the [DEFAULT] section is not supported, got keys "
+                          + ", ".join(sorted(parser.defaults())))
 
-    try:
-        if parser.has_section("link"):
-            sec = parser["link"]
-            cfg = replace(cfg, link=LinkConfig(
-                distance_km=sec.getfloat("distance_km", cfg.link.distance_km),
-                velocity_km_s=sec.getfloat("velocity_km_s", cfg.link.velocity_km_s)))
-        if parser.has_section("scene"):
-            sec = parser["scene"]
-            minors = cfg.scene.minor_semi_axes_km
-            if "minor_semi_axes_km" in sec:
-                values = _floats(sec["minor_semi_axes_km"])
-                if len(values) != 2:
-                    raise ConfigError("minor_semi_axes_km needs two values")
-                minors = values
-            cfg = replace(cfg, scene=SceneSettings(
-                minor_semi_axes_km=minors,
-                debris_size_m=sec.getfloat("debris_size_m", cfg.scene.debris_size_m)))
-        if parser.has_section("materials"):
-            sec = parser["materials"]
-            if "file" in sec:
-                path = sec["file"]
-                if config_dir is not None:
-                    path = str(Path(config_dir) / path)
-                cfg = replace(cfg, materials=load_materials(path))
-        if parser.has_section("interactions"):
-            sec = parser["interactions"]
-            freqs = (_floats(sec["frequencies_hz"])
-                     if "frequencies_hz" in sec else cfg.interactions.frequencies_hz)
-            probs = dict(cfg.interactions.probabilities)
-            for key in sec:
-                if key != "frequencies_hz":
+    cfg = default_config()
+    for name in parser.sections():
+        if name not in _KEYS:
+            raise ConfigError(f"unknown config section [{name}]")
+        keys, sec, changes = _KEYS[name], parser[name], {}
+        for key in sec:
+            try:
+                raw = sec[key]
+                if key in keys:
+                    changes[keys[key].attr or key] = keys[key].parse(raw)
+                elif name == "interactions" and key.rpartition("_")[2] in MECHANISM_KEYS:
+                    rows = changes.setdefault("probabilities",
+                                              dict(cfg.interactions.probabilities))
                     cls, _, mech = key.rpartition("_")
-                    probs[(cls, mech)] = _floats(sec[key])
-            cfg = replace(cfg, interactions=InteractionTable(
-                frequencies_hz=freqs, probabilities=probs))
-        if parser.has_section("channel"):
-            sec = parser["channel"]
-            kf = dict(cfg.channel.k_factor_db)
-            for key in sec:
-                if key.startswith("k_factor_db_"):
-                    kf[key[len("k_factor_db_"):]] = _floats(sec[key])
-            k_freqs = (_floats(sec["k_factor_frequencies_hz"])
-                       if "k_factor_frequencies_hz" in sec
-                       else cfg.channel.k_factor_frequencies_hz)
-            cfg = replace(cfg, channel=ChannelConfig(
-                n_subbands=sec.getint("n_subbands", cfg.channel.n_subbands),
-                bandwidth_hz=sec.getfloat("bandwidth_hz", cfg.channel.bandwidth_hz),
-                spacing=sec.getfloat("spacing", cfg.channel.spacing),
-                polarization=sec.get("polarization", cfg.channel.polarization),
-                k_factor_frequencies_hz=k_freqs,
-                k_factor_db=kf))
-        if parser.has_section("svm"):
-            sec = parser["svm"]
-            gamma = cfg.svm.gamma
-            if "gamma" in sec:
-                raw = sec["gamma"].strip()
-                gamma = None if raw in ("", "auto") else float(raw)
-            cfg = replace(cfg, svm=SvmSettings(
-                kernel=sec.get("kernel", cfg.svm.kernel),
-                c=sec.getfloat("c", cfg.svm.c),
-                tol=sec.getfloat("tolerance", cfg.svm.tol),
-                gamma=gamma,
-                train_fraction=sec.getfloat("train_fraction",
-                                            cfg.svm.train_fraction)))
-        if parser.has_section("campaign"):
-            sec = parser["campaign"]
-            grid = cfg.campaign
-            cfg = replace(cfg, campaign=CampaignGrid(
-                kind=sec.get("kind", grid.kind),
-                frequencies_hz=(_floats(sec["frequencies_hz"])
-                                if "frequencies_hz" in sec else grid.frequencies_hz),
-                snr_values_db=(_floats(sec["snr_db"])
-                               if "snr_db" in sec else grid.snr_values_db),
-                mimo_sizes=(_ints(sec["mimo"]) if "mimo" in sec else grid.mimo_sizes),
-                densities_per_km3=(_floats(sec["densities_per_km3"])
-                                   if "densities_per_km3" in sec
-                                   else grid.densities_per_km3),
-                classes=(_strings(sec["classes"])
-                         if "classes" in sec else grid.classes),
-                samples_per_condition=sec.getint("samples_per_condition",
-                                                 grid.samples_per_condition)))
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
-
+                    rows[(cls, mech)] = _floats(raw)
+                elif name == "channel" and key.startswith("k_factor_db_"):
+                    rows = changes.setdefault("k_factor_db", dict(cfg.channel.k_factor_db))
+                    rows[key[len("k_factor_db_"):]] = _floats(raw)
+                elif name == "materials" and key == "file":
+                    cfg = replace(cfg, materials=load_materials(
+                        Path(config_dir or ".") / raw))
+                else:
+                    raise ConfigError(f"unknown config key {key!r} in [{name}]")
+            except (ValueError, configparser.Error) as exc:
+                raise ConfigError(f"bad value for {key!r} in [{name}]: {exc}") from exc
+        if changes:
+            cfg = replace(cfg, **{name: replace(getattr(cfg, name), **changes)})
     _validate(cfg)
     return cfg
 
@@ -332,6 +331,8 @@ def load_config(path) -> SimulationConfig:
 
 
 def _validate(cfg: SimulationConfig) -> None:
+    """Checks on a parsed config; InteractionTable, SvmSettings and
+    CampaignGrid also check their own fields on construction."""
     if cfg.channel.n_subbands < 1:
         raise ConfigError(f"n_subbands must be >= 1, got {cfg.channel.n_subbands}")
     if not 0.0 <= cfg.channel.bandwidth_hz < math.inf:
@@ -344,20 +345,13 @@ def _validate(cfg: SimulationConfig) -> None:
         raise ConfigError("k_factor_frequencies_hz must be sorted and non-empty")
     if any(n < 1 for n in cfg.campaign.mimo_sizes):
         raise ConfigError(f"mimo sizes must be positive, got {cfg.campaign.mimo_sizes}")
-    if cfg.channel.polarization not in ("te", "tm"):
-        raise ConfigError(f"polarization must be te|tm, got {cfg.channel.polarization!r}")
-    if cfg.linksim.csi_method not in ("least_squares", "perfect"):
-        raise ConfigError(f"unknown CSI method {cfg.linksim.csi_method!r}")
-    if cfg.svm.kernel not in KERNEL_KINDS:
-        raise ConfigError(f"kernel must be {'|'.join(KERNEL_KINDS)}, "
-                          f"got {cfg.svm.kernel!r}")
-    if not 0.0 < cfg.svm.c < math.inf:
-        raise ConfigError(f"svm c must be finite and > 0, got {cfg.svm.c}")
-    if cfg.svm.gamma is not None and not 0.0 < cfg.svm.gamma < math.inf:
-        raise ConfigError(f"svm gamma must be auto or finite and > 0, "
-                          f"got {cfg.svm.gamma}")
-    if not (0.0 < cfg.svm.train_fraction < 1.0):
-        raise ConfigError("train_fraction must lie in (0, 1)")
+    _check_choice("polarization", cfg.channel.polarization, _POLARIZATIONS)
+    _check_choice("csi_method", cfg.linksim.csi_method, _CSI_METHODS)
+    if cfg.linksim.frame_symbols < cfg.channel.n_subbands:
+        raise ConfigError(f"frame_symbols must be >= n_subbands "
+                          f"({cfg.channel.n_subbands}), got {cfg.linksim.frame_symbols}")
+    if cfg.linksim.pilot_factor < 1:
+        raise ConfigError(f"pilot_factor must be >= 1, got {cfg.linksim.pilot_factor}")
     for cls in cfg.campaign.classes:
         if cls == "none":
             continue
@@ -377,63 +371,36 @@ def _validate(cfg: SimulationConfig) -> None:
 # Generated reference
 # ---------------------------------------------------------------------------
 
+def _text(value) -> str:
+    """A value as the reference prints it: the ``:g`` form of a number when
+    that parses back exactly, otherwise its ``repr``."""
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return "auto"
+    if isinstance(value, tuple):
+        return ", ".join(_text(v) for v in value)
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
 def reference_text() -> str:
     """Emit the default configuration as a fully commented INI file."""
     cfg = default_config()
-    lines = [
-        "# debrisense configuration reference (generated; all values are defaults)",
-        "",
-        "[link]",
-        f"distance_km = {cfg.link.distance_km}        # tx-rx separation",
-        f"velocity_km_s = {cfg.link.velocity_km_s}        # relative velocity (Doppler)",
-        "",
-        "[scene]",
-        "# ellipsoid major semi-axis is distance/2; minors below",
-        "minor_semi_axes_km = " + ", ".join(str(v) for v in cfg.scene.minor_semi_axes_km),
-        f"debris_size_m = {cfg.scene.debris_size_m}",
-        "",
-        "[materials]",
-        "# file = materials.ini   # external material table; omit for built-ins",
-        "",
-        "[interactions]",
-        "# activation probability per object per mechanism, log-f interpolated",
-        "frequencies_hz = " + ", ".join(f"{f:g}" for f in
-                                        cfg.interactions.frequencies_hz),
-    ]
-    for (cls, mech), probs in sorted(cfg.interactions.probabilities.items()):
-        lines.append(f"{cls}_{mech} = " + ", ".join(str(p) for p in probs))
-    lines += [
-        "",
-        "[channel]",
-        f"n_subbands = {cfg.channel.n_subbands}",
-        f"bandwidth_hz = {cfg.channel.bandwidth_hz:g}",
-        f"spacing = {cfg.channel.spacing}          # element spacing / wavelength",
-        f"polarization = {cfg.channel.polarization}",
-        "# Rician K (dB) applied when the channel carries debris paths,",
-        "# per class, log-f interpolated over the breakpoints below:",
-        "k_factor_frequencies_hz = " + ", ".join(
-            f"{f:g}" for f in cfg.channel.k_factor_frequencies_hz),
-    ]
-    for cls, kdb in sorted(cfg.channel.k_factor_db.items()):
-        lines.append(f"k_factor_db_{cls} = " + ", ".join(str(v) for v in kdb))
-    lines += [
-        "",
-        "[svm]",
-        f"kernel = {cfg.svm.kernel}             # linear | rbf",
-        f"c = {cfg.svm.c}",
-        f"tolerance = {cfg.svm.tol}",
-        "gamma = auto             # rbf width; auto = 1/(n_features*var)",
-        f"train_fraction = {cfg.svm.train_fraction}",
-        "",
-        "[campaign]",
-        f"kind = {cfg.campaign.kind}   # density_frequency | frequency_snr | mimo_frequency",
-        "frequencies_hz = " + ", ".join(f"{f:g}" for f in cfg.campaign.frequencies_hz),
-        "snr_db = " + ", ".join(f"{v:g}" for v in cfg.campaign.snr_values_db),
-        "mimo = " + ", ".join(str(v) for v in cfg.campaign.mimo_sizes),
-        "densities_per_km3 = " + ", ".join(f"{v:g}" for v in
-                                           cfg.campaign.densities_per_km3),
-        "classes = " + ", ".join(cfg.campaign.classes),
-        f"samples_per_condition = {cfg.campaign.samples_per_condition}",
-        "",
-    ]
-    return "\n".join(lines)
+    lines = ["# debrisense configuration reference (generated; all values are defaults)"]
+    for name, keys in _KEYS.items():
+        section = getattr(cfg, name)
+        lines += ["", f"[{name}]"]
+        for key, spec in keys.items():
+            note = f"   # {spec.note}" if spec.note else ""
+            lines.append(f"{key} = {_text(getattr(section, spec.attr or key))}{note}")
+        if name == "materials":
+            lines.append("# file = materials.ini   # external material table; "
+                         "omit for built-ins")
+        elif name == "interactions":
+            lines += [f"{cls}_{mech} = {_text(probs)}"
+                      for (cls, mech), probs in sorted(section.probabilities.items())]
+        elif name == "channel":
+            lines += [f"k_factor_db_{cls} = {_text(kdb)}"
+                      for cls, kdb in sorted(section.k_factor_db.items())]
+    return "\n".join(lines) + "\n"

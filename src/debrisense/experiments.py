@@ -350,7 +350,7 @@ def build_paths(scene: DebrisScene, interactions, grid, cfg: SimulationConfig,
     the path, and a gain that raises skips it at that sub-band only; both
     append a flag instead of aborting the sample.
     """
-    pol = Polarization.TE if cfg.channel.polarization == "te" else Polarization.TM
+    pol = Polarization(cfg.channel.polarization)
     spacing = cfg.channel.spacing
     freqs = [float(f) for f in grid]
     paths = [SamplePath(
@@ -462,8 +462,7 @@ def simulate_sample(cond: ConditionSpec, draw: SampleDraw,
                     cfg: SimulationConfig) -> SampleRecord:
     """Link and features of one drawn sample at the condition's SNR."""
     pilot_len = cfg.linksim.pilot_factor * cond.n_antennas
-    method = (CsiMethod.PERFECT if cfg.linksim.csi_method == "perfect"
-              else CsiMethod.LEAST_SQUARES)
+    method = CsiMethod(cfg.linksim.csi_method)
     flags = list(draw.flags)
     err_bits = 0.0
     total_bits = 0

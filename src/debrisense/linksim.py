@@ -34,7 +34,6 @@ class CsiMethod(enum.Enum):
 class CsiEstimate:
     matrix: np.ndarray
     method: CsiMethod
-    pilot_noise_variance: float = 0.0
 
 
 # QPSK constellation indexed by 2*b0 + b1
@@ -148,7 +147,7 @@ def estimate_csi(h_true: np.ndarray, pilot_length: int, snr_db: float,
             raise ValueError("provide either rng or error_unit")
         error_unit = complex_normal(rng, (n_rx, n_tx))
     return CsiEstimate(matrix=h_true + math.sqrt(err_var) * error_unit,
-                       method=method, pilot_noise_variance=err_var)
+                       method=method)
 
 
 def zf_equalize(y: np.ndarray, csi: CsiEstimate) -> np.ndarray:

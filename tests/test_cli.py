@@ -1,5 +1,8 @@
 """CLI subcommands, config reference round-trip and exit codes."""
 
+import csv
+
+import numpy as np
 import pytest
 
 from debrisense.cli import main
@@ -24,14 +27,7 @@ n_subbands = 4
 
 def test_reference_parses_back_to_defaults(capsys):
     assert main(["reference"]) == 0
-    text = capsys.readouterr().out
-    cfg = parse_config(text)
-    default = default_config()
-    assert cfg.link == default.link
-    assert cfg.channel == default.channel
-    assert cfg.svm == default.svm
-    assert cfg.campaign == default.campaign
-    assert cfg.interactions == default.interactions
+    assert parse_config(capsys.readouterr().out) == default_config()
 
 
 def test_reproduce_writes_outputs(tmp_path, capsys):
@@ -103,10 +99,15 @@ def test_bad_config_exits_2(tmp_path, capsys):
                                      ("n_subbands = 4", "bandwidth_hz = -1e9"),
                                      ("[channel]", "[svm]\nkernel = poly\n"
                                                    "[channel]"),
-                                     ("[channel]", "[svm]\nc = 0\n[channel]")],
+                                     ("[channel]", "[svm]\nc = 0\n[channel]"),
+                                     ("[channel]", "[linksim]\npilot_factor = 0\n"
+                                                   "[channel]"),
+                                     ("[channel]", "[linksim]\nframe_symbols = 3\n"
+                                                   "[channel]")],
                          ids=["mimo_zero", "mimo_negative", "n_subbands_zero",
                               "spacing_zero", "bandwidth_negative",
-                              "kernel_unknown", "c_zero"])
+                              "kernel_unknown", "c_zero", "pilot_factor_zero",
+                              "frame_shorter_than_subbands"])
 def test_bad_array_or_subband_setting_exits_2(tmp_path, capsys, setting):
     cfg_path = tmp_path / "bad.ini"
     cfg_path.write_text(CUSTOM_CONFIG.replace(*setting), encoding="utf-8")
@@ -114,6 +115,43 @@ def test_bad_array_or_subband_setting_exits_2(tmp_path, capsys, setting):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_with_perfect_csi(tmp_path):
+    # perfect CSI over a debris-free scene leaves the rank-1 line of sight:
+    # zero-forcing fails on every sub-band and the sample is recorded at 0.5
+    cfg_path = tmp_path / "perfect.ini"
+    cfg_path.write_text(CUSTOM_CONFIG + "\n[linksim]\ncsi_method = perfect\n",
+                        encoding="utf-8")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg_path), "--seed", "2",
+                 "--out", str(out)]) == 0
+    with open(next(out.glob("samples_*.csv")), encoding="utf-8") as fh:
+        none_rows = [r for r in csv.DictReader(fh) if r["label"] == "none"]
+    assert none_rows
+    for row in none_rows:
+        assert float(row["ber"]) == 0.5
+        assert "eq_error" in row["flags"]
+
+
+@pytest.mark.parametrize("flags", [["--gamma", "0"], ["--gamma", "-1"],
+                                   ["--gamma", "nan"], ["--c", "0"],
+                                   ["--c", "nan"]],
+                         ids=["gamma_zero", "gamma_negative", "gamma_nan",
+                              "c_zero", "c_nan"])
+def test_bad_train_setting_exits_2(tmp_path, capsys, flags):
+    rng = np.random.default_rng(0)
+    data = tmp_path / "samples.csv"
+    lines = ["label,f_mean,f_var,f_max,f_min,f_skew"]
+    for i in range(30):
+        label = "none" if i % 2 else "smooth_glass"
+        lines.append(",".join([label, *(f"{v:.6f}" for v in rng.normal(size=5))]))
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    model_path = tmp_path / "m.json"
+    assert main(["train", "--data", str(data), "--model", str(model_path),
+                 *flags]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not model_path.exists()
 
 
 @pytest.mark.parametrize("flags", [["--samples", "0"],

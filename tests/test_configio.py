@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from debrisense import configio
 from debrisense.configio import (default_config, parse_config,
                                  reference_text, DEFAULT_INTERACTIONS)
 from debrisense.errors import ConfigError
@@ -36,6 +37,16 @@ k_factor_db_rough_metal = 7, 9
         assert cfg.channel.n_subbands == 4
         assert cfg.channel.k_factor("smooth_glass", 30e9) == pytest.approx(8.0)
         assert cfg.channel.k_factor("rough_metal", 5e12) == pytest.approx(9.0)
+
+    def test_linksim(self):
+        cfg = parse_config("""
+[linksim]
+frame_symbols = 64
+pilot_factor = 3
+csi_method = perfect
+""")
+        assert cfg.linksim == configio.LinkSimConfig(
+            frame_symbols=64, pilot_factor=3, csi_method="perfect")
 
     def test_partial_interaction_override(self):
         cfg = parse_config("""
@@ -131,6 +142,13 @@ class TestValidation:
         "[intractions]\nsmooth_glass_reflection = 0.1, 0.2, 0.3, 0.4\n",
         "[materials]\nfiles = mats.ini\n",
         "[DEFAULT]\nn_subbands = 4\n",
+        # [linksim]: 4 symbols cannot cover the 8 default sub-bands
+        "[linksim]\nframe_symbols = 4\n",
+        "[linksim]\npilot_factor = 0\n",
+        "[linksim]\ncsi_method = bogus\n",
+        "[linksim]\nframe_symbol = 500\n",
+        # a bare % is an interpolation error inside configparser
+        "[link]\ndistance_km = 5%\n",
     ])
     def test_bad_values_rejected(self, text):
         with pytest.raises(ConfigError):
@@ -144,6 +162,25 @@ class TestValidation:
         assert parse_config(reference_text()) == default_config()
         # an empty [DEFAULT] section passes no keys to the others
         assert parse_config("[DEFAULT]\n" + reference_text()) == default_config()
+
+    def test_reference_names_each_table_key_once(self):
+        section, written = None, []
+        for line in reference_text().splitlines():
+            if line.startswith("["):
+                section = line.strip("[]")
+            elif line and not line.startswith("#"):
+                written.append((section, line.split(" = ")[0]))
+        for name, keys in configio._KEYS.items():
+            for key in keys:
+                assert written.count((name, key)) == 1, (name, key)
+
+    def test_reference_values_in_shortest_exact_form(self):
+        text = reference_text()
+        assert "distance_km = 500   #" in text
+        assert "bandwidth_hz = 1e+10\n" in text
+        assert "densities_per_km3 = 1e-06\n" in text
+        # a number whose :g form would round falls back to repr
+        assert configio._text(1234567.0) == "1234567.0"
 
     def test_campaign_class_without_material_rejected(self):
         with pytest.raises(ConfigError):

@@ -298,13 +298,16 @@ class TestCsiEstimation:
         assert np.allclose(est.matrix, h, atol=1e-10)
 
     def test_reported_variance_matches_formula(self):
+        # the LS error is the given unit draw scaled to the variance
+        # sigma_n^2 * Nt / pilot_length
         rng = np.random.default_rng(0)
         h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        unit = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         snr_db, pilot = 12.0, 8
-        est = estimate_csi(h, pilot, snr_db, np.random.default_rng(2))
+        est = estimate_csi(h, pilot, snr_db, None, error_unit=unit)
         sigma_sq = (np.linalg.norm(h) ** 2 / 4 / 4) / 10 ** (snr_db / 10)
-        assert est.pilot_noise_variance == pytest.approx(sigma_sq * 4 / pilot,
-                                                         rel=1e-12)
+        assert np.allclose(est.matrix - h, math.sqrt(sigma_sq * 4 / pilot) * unit,
+                           rtol=1e-12, atol=0.0)
 
 
 class TestBer:
