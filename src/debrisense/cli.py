@@ -66,7 +66,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    SvmSettings(kernel=args.kernel, c=args.c, gamma=args.gamma)  # ConfigError if bad
+    # ConfigError (exit 2) on a bad kernel, c or gamma, before any data is read
+    svm = SvmSettings(kernel=args.kernel, c=args.c, gamma=args.gamma)
     features, labels = _read_samples_csv(args.data)
     if args.binary:
         labels = tuple("debris" if lab != NO_DEBRIS_LABEL else lab
@@ -81,7 +82,7 @@ def _cmd_train(args) -> int:
         classes = tuple(sorted(seen))
         positive = None
     dataset = LabeledDataset(features=features, labels=labels, classes=classes)
-    model = svm_train(dataset, kernel=args.kernel, c=args.c, gamma=args.gamma,
+    model = svm_train(dataset, kernel=svm.kernel, c=svm.c, gamma=svm.gamma,
                       positive_class=positive)
     save_model(model, args.model)
     print(f"trained {model.kind} model on {len(labels)} rows -> {args.model}")

@@ -1,15 +1,17 @@
 """Simulation configuration: defaults, INI parsing, reference generation.
 
 Config files are INI text with sections [link], [scene], [materials],
-[interactions], [channel], [linksim], [svm], [campaign].  Every value has a
-shipped default; a user file only overrides what it names.  ``_KEYS``
-declares each INI key once; parsing, the unknown-key check and
-``reference_text`` (the fully commented default file) all read it.
+[interactions], [channel], [svm], [campaign].  Every value has a shipped
+default; a user file only overrides what it names.  ``_KEYS`` declares each
+INI key once; parsing, the unknown-key check and ``reference_text`` (the
+fully commented default file) all read it.  ``SimulationConfig.linksim`` has
+no section: it is set from code only.
 """
 
 from __future__ import annotations
 
 import configparser
+import enum
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -26,8 +28,6 @@ from .svm import KERNEL_KINDS
 
 MECHANISM_KEYS = ("reflection", "scattering", "diffraction")
 CAMPAIGN_KINDS = ("density_frequency", "frequency_snr", "mimo_frequency", "trend")
-_POLARIZATIONS = tuple(p.value for p in Polarization)
-_CSI_METHODS = tuple(m.value for m in CsiMethod)
 
 
 def _check_choice(name: str, value: str, allowed: tuple[str, ...]) -> None:
@@ -105,7 +105,7 @@ class ChannelConfig:
     n_subbands: int = 8
     bandwidth_hz: float = 10e9
     spacing: float = 0.5
-    polarization: str = "te"
+    polarization: Polarization = Polarization.TE
     k_factor_frequencies_hz: tuple[float, ...] = (30e9, 300e9, 3e12, 5e12)
     k_factor_db: dict = field(default_factory=lambda: {
         "smooth_glass": (11.5, 13.0, 21.0, 21.0),
@@ -122,7 +122,7 @@ class ChannelConfig:
 class LinkSimConfig:
     frame_symbols: int = 500
     pilot_factor: int = 2
-    csi_method: str = "least_squares"
+    csi_method: CsiMethod = CsiMethod.LEAST_SQUARES
 
 
 @dataclass(frozen=True)
@@ -251,14 +251,9 @@ _KEYS = {
         "n_subbands": _Key(int),
         "bandwidth_hz": _Key(float),
         "spacing": _Key(float, "element spacing / wavelength"),
-        "polarization": _Key(str, " | ".join(_POLARIZATIONS)),
+        "polarization": _Key(Polarization, " | ".join(p.value for p in Polarization)),
         "k_factor_frequencies_hz": _Key(_floats, "log-f breakpoints of the Rician K (dB) "
                                                  "rows below"),
-    },
-    "linksim": {
-        "frame_symbols": _Key(int, "QPSK symbols per antenna per sample, >= n_subbands"),
-        "pilot_factor": _Key(int, "pilot length = factor * Nt, >= 1"),
-        "csi_method": _Key(str, " | ".join(_CSI_METHODS)),
     },
     "svm": {
         "kernel": _Key(str, " | ".join(KERNEL_KINDS)),
@@ -345,13 +340,6 @@ def _validate(cfg: SimulationConfig) -> None:
         raise ConfigError("k_factor_frequencies_hz must be sorted and non-empty")
     if any(n < 1 for n in cfg.campaign.mimo_sizes):
         raise ConfigError(f"mimo sizes must be positive, got {cfg.campaign.mimo_sizes}")
-    _check_choice("polarization", cfg.channel.polarization, _POLARIZATIONS)
-    _check_choice("csi_method", cfg.linksim.csi_method, _CSI_METHODS)
-    if cfg.linksim.frame_symbols < cfg.channel.n_subbands:
-        raise ConfigError(f"frame_symbols must be >= n_subbands "
-                          f"({cfg.channel.n_subbands}), got {cfg.linksim.frame_symbols}")
-    if cfg.linksim.pilot_factor < 1:
-        raise ConfigError(f"pilot_factor must be >= 1, got {cfg.linksim.pilot_factor}")
     for cls in cfg.campaign.classes:
         if cls == "none":
             continue
@@ -372,10 +360,13 @@ def _validate(cfg: SimulationConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def _text(value) -> str:
-    """A value as the reference prints it: the ``:g`` form of a number when
-    that parses back exactly, otherwise its ``repr``."""
-    if isinstance(value, str):
-        return value
+    """A value as the reference prints it: an int in full, an enum as its
+    value, a float in ``:g`` form when that parses back exactly, otherwise
+    its ``repr``."""
+    if isinstance(value, (str, int)):
+        return str(value)
+    if isinstance(value, enum.Enum):
+        return value.value
     if value is None:
         return "auto"
     if isinstance(value, tuple):

@@ -30,8 +30,8 @@ from .channel import (apply_rician_smallscale, assemble_subband,
                       steering_matrix, subband_grid)
 from .configio import SimulationConfig, CampaignGrid, default_config
 from .errors import ConfigError, DebrisenseError, EqualizationError, TrainingError
-from .linksim import (CsiMethod, complex_normal_blocks, estimate_csi,
-                      qpsk_demodulate, qpsk_modulate, transmit, zf_equalize)
+from .linksim import (complex_normal_blocks, estimate_csi, qpsk_demodulate,
+                      qpsk_modulate, transmit, zf_equalize)
 from .propagation import (Polarization, ScatterGeometry, diffracted_response,
                           los_response, reflected_response, scattered_response)
 from .scene import (DebrisClass, DebrisScene, LinkGeometry, Mechanism,
@@ -350,7 +350,7 @@ def build_paths(scene: DebrisScene, interactions, grid, cfg: SimulationConfig,
     the path, and a gain that raises skips it at that sub-band only; both
     append a flag instead of aborting the sample.
     """
-    pol = Polarization(cfg.channel.polarization)
+    pol = cfg.channel.polarization
     spacing = cfg.channel.spacing
     freqs = [float(f) for f in grid]
     paths = [SamplePath(
@@ -462,7 +462,7 @@ def simulate_sample(cond: ConditionSpec, draw: SampleDraw,
                     cfg: SimulationConfig) -> SampleRecord:
     """Link and features of one drawn sample at the condition's SNR."""
     pilot_len = cfg.linksim.pilot_factor * cond.n_antennas
-    method = CsiMethod(cfg.linksim.csi_method)
+    method = cfg.linksim.csi_method
     flags = list(draw.flags)
     err_bits = 0.0
     total_bits = 0

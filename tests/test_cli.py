@@ -1,7 +1,5 @@
 """CLI subcommands, config reference round-trip and exit codes."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -99,15 +97,10 @@ def test_bad_config_exits_2(tmp_path, capsys):
                                      ("n_subbands = 4", "bandwidth_hz = -1e9"),
                                      ("[channel]", "[svm]\nkernel = poly\n"
                                                    "[channel]"),
-                                     ("[channel]", "[svm]\nc = 0\n[channel]"),
-                                     ("[channel]", "[linksim]\npilot_factor = 0\n"
-                                                   "[channel]"),
-                                     ("[channel]", "[linksim]\nframe_symbols = 3\n"
-                                                   "[channel]")],
+                                     ("[channel]", "[svm]\nc = 0\n[channel]")],
                          ids=["mimo_zero", "mimo_negative", "n_subbands_zero",
                               "spacing_zero", "bandwidth_negative",
-                              "kernel_unknown", "c_zero", "pilot_factor_zero",
-                              "frame_shorter_than_subbands"])
+                              "kernel_unknown", "c_zero"])
 def test_bad_array_or_subband_setting_exits_2(tmp_path, capsys, setting):
     cfg_path = tmp_path / "bad.ini"
     cfg_path.write_text(CUSTOM_CONFIG.replace(*setting), encoding="utf-8")
@@ -115,23 +108,6 @@ def test_bad_array_or_subband_setting_exits_2(tmp_path, capsys, setting):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_simulate_with_perfect_csi(tmp_path):
-    # perfect CSI over a debris-free scene leaves the rank-1 line of sight:
-    # zero-forcing fails on every sub-band and the sample is recorded at 0.5
-    cfg_path = tmp_path / "perfect.ini"
-    cfg_path.write_text(CUSTOM_CONFIG + "\n[linksim]\ncsi_method = perfect\n",
-                        encoding="utf-8")
-    out = tmp_path / "sim"
-    assert main(["simulate", "--config", str(cfg_path), "--seed", "2",
-                 "--out", str(out)]) == 0
-    with open(next(out.glob("samples_*.csv")), encoding="utf-8") as fh:
-        none_rows = [r for r in csv.DictReader(fh) if r["label"] == "none"]
-    assert none_rows
-    for row in none_rows:
-        assert float(row["ber"]) == 0.5
-        assert "eq_error" in row["flags"]
 
 
 @pytest.mark.parametrize("flags", [["--gamma", "0"], ["--gamma", "-1"],

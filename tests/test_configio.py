@@ -8,6 +8,7 @@ from debrisense import configio
 from debrisense.configio import (default_config, parse_config,
                                  reference_text, DEFAULT_INTERACTIONS)
 from debrisense.errors import ConfigError
+from debrisense.propagation import Polarization
 from debrisense.scene import DebrisClass, Mechanism
 
 
@@ -37,16 +38,6 @@ k_factor_db_rough_metal = 7, 9
         assert cfg.channel.n_subbands == 4
         assert cfg.channel.k_factor("smooth_glass", 30e9) == pytest.approx(8.0)
         assert cfg.channel.k_factor("rough_metal", 5e12) == pytest.approx(9.0)
-
-    def test_linksim(self):
-        cfg = parse_config("""
-[linksim]
-frame_symbols = 64
-pilot_factor = 3
-csi_method = perfect
-""")
-        assert cfg.linksim == configio.LinkSimConfig(
-            frame_symbols=64, pilot_factor=3, csi_method="perfect")
 
     def test_partial_interaction_override(self):
         cfg = parse_config("""
@@ -142,11 +133,8 @@ class TestValidation:
         "[intractions]\nsmooth_glass_reflection = 0.1, 0.2, 0.3, 0.4\n",
         "[materials]\nfiles = mats.ini\n",
         "[DEFAULT]\nn_subbands = 4\n",
-        # [linksim]: 4 symbols cannot cover the 8 default sub-bands
-        "[linksim]\nframe_symbols = 4\n",
-        "[linksim]\npilot_factor = 0\n",
-        "[linksim]\ncsi_method = bogus\n",
-        "[linksim]\nframe_symbol = 500\n",
+        # the link settings are set from code only
+        "[linksim]\ncsi_method = perfect\n",
         # a bare % is an interpolation error inside configparser
         "[link]\ndistance_km = 5%\n",
     ])
@@ -181,6 +169,9 @@ class TestValidation:
         assert "densities_per_km3 = 1e-06\n" in text
         # a number whose :g form would round falls back to repr
         assert configio._text(1234567.0) == "1234567.0"
+        # an int prints in full, so an int key parses it back
+        assert configio._text(1000000) == "1000000"
+        assert configio._text(Polarization.TM) == "tm"
 
     def test_campaign_class_without_material_rejected(self):
         with pytest.raises(ConfigError):

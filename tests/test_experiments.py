@@ -16,6 +16,7 @@ from debrisense.experiments import (Interaction, balanced_partition,
                                     table_config, trend_config,
                                     write_campaign_outputs,
                                     SAMPLE_CSV_HEADER, METRICS_CSV_HEADER)
+from debrisense.linksim import CsiMethod
 from debrisense.scene import (DebrisClass, LinkGeometry, Mechanism,
                               SceneConfig, generate_scene)
 
@@ -268,7 +269,7 @@ class TestPathGeometryFlow:
         # perfect CSI over an empty scene leaves a rank-1 channel: every
         # sub-band records the equalization failure at BER 0.5
         cfg = tiny_cfg(samples=6)
-        cfg = replace(cfg, linksim=replace(cfg.linksim, csi_method="perfect"))
+        cfg = replace(cfg, linksim=replace(cfg.linksim, csi_method=CsiMethod.PERFECT))
         grid = replace(cfg.campaign, classes=("none", "smooth_glass"),
                        samples_per_condition=6)
         cfg = replace(cfg, campaign=grid)
