@@ -19,8 +19,8 @@ import numpy as np
 
 from .configio import SvmSettings, load_config, reference_text
 from .errors import ConfigError, DebrisenseError
-from .experiments import (NO_DEBRIS_LABEL, reproduce_table, run_campaign,
-                          write_campaign_outputs)
+from .experiments import (DEBRIS_LABEL, NO_DEBRIS_LABEL, detection_labels,
+                          reproduce_table, run_campaign, write_campaign_outputs)
 from .sensing import (FeatureVector, LabeledDataset, load_model, save_model,
                       svm_train)
 from .svm import KERNEL_KINDS
@@ -70,20 +70,13 @@ def _cmd_train(args) -> int:
     svm = SvmSettings(kernel=args.kernel, c=args.c, gamma=args.gamma)
     features, labels = _read_samples_csv(args.data)
     if args.binary:
-        labels = tuple("debris" if lab != NO_DEBRIS_LABEL else lab
-                       for lab in labels)
-        classes = (NO_DEBRIS_LABEL, "debris")
-        positive = "debris"
+        labels = detection_labels(labels)
+        classes = (NO_DEBRIS_LABEL, DEBRIS_LABEL)
     else:
-        seen = []
-        for lab in labels:
-            if lab not in seen:
-                seen.append(lab)
-        classes = tuple(sorted(seen))
-        positive = None
+        classes = tuple(sorted(set(labels)))
+    # two classes: the later one in ``classes`` (debris, for --binary) is positive
     dataset = LabeledDataset(features=features, labels=labels, classes=classes)
-    model = svm_train(dataset, kernel=svm.kernel, c=svm.c, gamma=svm.gamma,
-                      positive_class=positive)
+    model = svm_train(dataset, kernel=svm.kernel, c=svm.c, gamma=svm.gamma)
     save_model(model, args.model)
     print(f"trained {model.kind} model on {len(labels)} rows -> {args.model}")
     return 0
@@ -92,9 +85,8 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     features, labels = _read_samples_csv(args.data)
     model = load_model(args.model)
-    if model.kind == "binary" and model.positive_class == "debris":
-        labels = tuple("debris" if lab != NO_DEBRIS_LABEL else lab
-                       for lab in labels)
+    if model.kind == "binary" and model.positive_class == DEBRIS_LABEL:
+        labels = detection_labels(labels)
     hits = 0
     confusion: dict = {}
     for row, truth in zip(features, labels):

@@ -206,7 +206,7 @@ def _floats(raw: str) -> tuple[float, ...]:
 
 
 def _ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(float(v)) for v in raw.split(",") if v.strip())
+    return tuple(int(v) for v in raw.split(",") if v.strip())
 
 
 def _strings(raw: str) -> tuple[str, ...]:

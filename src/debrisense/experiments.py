@@ -41,6 +41,7 @@ from .sensing import (FeatureVector, LabeledDataset, SvmModel, extract_features,
                       svm_train)
 
 NO_DEBRIS_LABEL = "none"
+DEBRIS_LABEL = "debris"
 
 # Stream tags for counter-based seed derivation.
 _STREAM_SCENE = 11
@@ -82,7 +83,7 @@ class EvaluationGroup:
     axis_value: float  # density / snr / mimo, depending on the campaign
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleRecord:
     condition_id: str
     sample_idx: int
@@ -99,9 +100,14 @@ class MetricsSummary:
     mean_ber: float
     det_acc: float
     cls_acc: float
-    confusion: dict
-    detection_model: SvmModel | None = None
-    classification_model: SvmModel | None = None
+    detection_model: SvmModel
+    classification_model: SvmModel | None
+    records: tuple[SampleRecord, ...]  # the input, annotated
+
+
+def detection_labels(labels) -> tuple[str, ...]:
+    """The detection task's labels: every debris class becomes ``debris``."""
+    return tuple(lab if lab == NO_DEBRIS_LABEL else DEBRIS_LABEL for lab in labels)
 
 
 def balanced_partition(total: int, classes) -> dict:
@@ -548,17 +554,15 @@ def stratified_split(labels, train_fraction: float,
 
 
 def evaluate_condition(records, split_seed: int,
-                       cfg: SimulationConfig | None = None) -> MetricsSummary:
+                       cfg: SimulationConfig) -> MetricsSummary:
     """Train detection/classification machines and score the held-out split.
 
     Detection is trained on a binary relabelling (no-debris vs any debris)
     of every record; classification on debris rows only.  Both accuracies
-    are computed exclusively on held-out rows.  Records are annotated in
-    place with decision values, predicted labels and split membership;
-    records shared between evaluation groups keep the last evaluation's
-    annotations (split markers are replaced, not accumulated).
+    are computed exclusively on held-out rows.  The input records are left
+    unchanged; the summary carries copies annotated with decision values,
+    predicted labels and split membership.
     """
-    cfg = cfg or default_config()
     records = list(records)
     if not records:
         raise TrainingError("no records to evaluate")
@@ -567,16 +571,15 @@ def evaluate_condition(records, split_seed: int,
     rng = np.random.default_rng(np.random.SeedSequence(split_seed))
     train_idx, test_idx = stratified_split(labels, cfg.svm.train_fraction, rng)
 
-    binary = ["debris" if lab != NO_DEBRIS_LABEL else NO_DEBRIS_LABEL
-              for lab in labels]
+    binary = detection_labels(labels)
     if len(set(binary[i] for i in train_idx)) < 2:
         raise TrainingError("detection training split lacks both classes")
     det_model = svm_train(
         LabeledDataset(features=features[train_idx],
                        labels=tuple(binary[i] for i in train_idx),
-                       classes=(NO_DEBRIS_LABEL, "debris")),
+                       classes=(NO_DEBRIS_LABEL, DEBRIS_LABEL)),
         kernel=cfg.svm.kernel, c=cfg.svm.c, tol=cfg.svm.tol,
-        gamma=cfg.svm.gamma, positive_class="debris")
+        gamma=cfg.svm.gamma, positive_class=DEBRIS_LABEL)
 
     debris_classes = tuple(c for c in cfg.campaign.classes if c != NO_DEBRIS_LABEL)
     cls_train = [i for i in train_idx if labels[i] != NO_DEBRIS_LABEL]
@@ -590,12 +593,12 @@ def evaluate_condition(records, split_seed: int,
             gamma=cfg.svm.gamma,
             positive_class=debris_classes[-1] if len(debris_classes) == 2 else None)
 
-    # annotate every record; accuracies use the held-out rows only
+    # annotate a copy of every record; accuracies use the held-out rows only
     test_set = set(test_idx)
     det_hits = 0
     cls_hits = 0
     cls_total = 0
-    confusion = {t: {p: 0 for p in debris_classes} for t in debris_classes}
+    annotated = []
     for i, rec in enumerate(records):
         fv = rec.features
         value = det_model.decision_value(fv)
@@ -604,28 +607,25 @@ def evaluate_condition(records, split_seed: int,
         if detected and cls_model is not None:
             pred = cls_model.predict(fv)
         elif detected:
-            pred = debris_classes[0] if debris_classes else "debris"
-        rec.det_value = value
-        rec.pred_label = pred
-        base_flags = set(rec.flags) - {"train", "test"}
-        rec.flags = tuple(sorted(base_flags |
-                                 {"test" if i in test_set else "train"}))
+            pred = debris_classes[0] if debris_classes else DEBRIS_LABEL
+        split = "test" if i in test_set else "train"
+        annotated.append(replace(rec, det_value=value, pred_label=pred,
+                                 flags=tuple(sorted({*rec.flags, split}))))
         if i in test_set:
             truth_detected = rec.label != NO_DEBRIS_LABEL
             det_hits += int(detected == truth_detected)
             if truth_detected and cls_model is not None:
                 cls_total += 1
                 cls_pred = pred if detected else cls_model.predict(fv)
-                confusion[rec.label][cls_pred] += 1
                 cls_hits += int(cls_pred == rec.label)
 
     return MetricsSummary(
         mean_ber=float(np.mean([r.ber for r in records])),
         det_acc=det_hits / len(test_idx),
         cls_acc=(cls_hits / cls_total) if cls_total else float("nan"),
-        confusion=confusion,
         detection_model=det_model,
-        classification_model=cls_model)
+        classification_model=cls_model,
+        records=tuple(annotated))
 
 
 # ---------------------------------------------------------------------------
@@ -672,19 +672,20 @@ def run_campaign(cfg: SimulationConfig, master_seed: int,
     for recs in results:
         for rec in recs:
             by_id.setdefault(rec.condition_id, []).append(rec)
-    records = {c.condition_id: by_id[c.condition_id] for c in conditions}
 
+    # groups read the simulated records; a shared cell keeps the last group's copies
+    annotated = {c.condition_id: by_id[c.condition_id] for c in conditions}
     summaries = {}
     acc_by_cond: dict[str, list] = {}
     for g_idx, group in enumerate(groups):
-        pooled = []
-        for cid in group.condition_ids:
-            pooled.extend(records[cid])
+        pooled = [rec for cid in group.condition_ids for rec in by_id[cid]]
         split_seed = int(np.random.SeedSequence(
             [master_seed, _STREAM_SPLIT, g_idx]).generate_state(1)[0])
         summary = evaluate_condition(pooled, split_seed, cfg)
         summaries[group.group_id] = summary
+        copies = iter(summary.records)
         for cid in group.condition_ids:
+            annotated[cid] = [next(copies) for _ in by_id[cid]]
             acc_by_cond.setdefault(cid, []).append(
                 (summary.det_acc, summary.cls_acc))
     cond_group_acc = {}
@@ -693,7 +694,7 @@ def run_campaign(cfg: SimulationConfig, master_seed: int,
         cls_vals = [p[1] for p in pairs if not math.isnan(p[1])]
         cls = float(np.mean(cls_vals)) if cls_vals else float("nan")
         cond_group_acc[cid] = (det, cls)
-    return CampaignResult(conditions=conditions, groups=groups, records=records,
+    return CampaignResult(conditions=conditions, groups=groups, records=annotated,
                           summaries=summaries, cond_group_acc=cond_group_acc)
 
 

@@ -59,18 +59,20 @@ class MaterialProperties:
         for label, table in (("n", self.n_table), ("alpha", self.alpha_table)):
             if len(table) < 1:
                 raise ConfigError(f"material '{self.name}': empty {label} table")
+            if not np.isfinite(table).all():
+                raise ConfigError(f"material '{self.name}': non-finite {label} table")
             freqs = [p[0] for p in table]
             if sorted(freqs) != freqs:
                 raise ConfigError(
                     f"material '{self.name}': {label} table not sorted by frequency")
         if any(v < 1.0 for _, v in self.n_table):
             raise ConfigError(f"material '{self.name}': refractive index < 1")
-        if self.roughness_sigma_m < 0:
-            raise ConfigError(f"material '{self.name}': negative roughness sigma")
-        if self.correlation_length_m <= 0:
-            raise ConfigError(f"material '{self.name}': correlation length <= 0")
-        if self.facet_lx_m <= 0 or self.facet_ly_m <= 0:
-            raise ConfigError(f"material '{self.name}': facet dimensions <= 0")
+        if not 0 <= self.roughness_sigma_m < np.inf:
+            raise ConfigError(f"material '{self.name}': roughness sigma not in [0, inf)")
+        if not 0 < self.correlation_length_m < np.inf:
+            raise ConfigError(f"material '{self.name}': correlation length not in (0, inf)")
+        if not (0 < self.facet_lx_m < np.inf and 0 < self.facet_ly_m < np.inf):
+            raise ConfigError(f"material '{self.name}': facet dimensions not in (0, inf)")
 
     def refractive_index(self, f_hz: float) -> float:
         return _interp_table(self.n_table, f_hz, "refractive index", self.name)
@@ -135,22 +137,26 @@ def parse_materials(text: str) -> dict[str, MaterialProperties]:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad material file: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError(f"[DEFAULT] keys {sorted(parser.defaults())} are not supported")
     materials = {}
     for section in parser.sections():
-        sec = parser[section]
+        sec = dict(parser[section])
         try:
             materials[section] = MaterialProperties(
                 name=section,
-                n_table=_parse_breakpoints(sec["n"], section, "n"),
-                alpha_table=_parse_breakpoints(sec["alpha_per_m"], section,
+                n_table=_parse_breakpoints(sec.pop("n"), section, "n"),
+                alpha_table=_parse_breakpoints(sec.pop("alpha_per_m"), section,
                                                "alpha_per_m"),
-                roughness_sigma_m=float(sec["roughness_sigma_m"]),
-                correlation_length_m=float(sec["correlation_length_m"]),
-                facet_lx_m=float(sec["facet_lx_m"]),
-                facet_ly_m=float(sec["facet_ly_m"]),
+                roughness_sigma_m=float(sec.pop("roughness_sigma_m")),
+                correlation_length_m=float(sec.pop("correlation_length_m")),
+                facet_lx_m=float(sec.pop("facet_lx_m")),
+                facet_ly_m=float(sec.pop("facet_ly_m")),
             )
         except KeyError as exc:
             raise ConfigError(f"material '{section}': missing key {exc}") from exc
+        if sec:
+            raise ConfigError(f"material '{section}': unknown keys {sorted(sec)}")
     if not materials:
         raise ConfigError("material file defines no materials")
     return materials

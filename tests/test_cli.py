@@ -5,6 +5,7 @@ import pytest
 
 from debrisense.cli import main
 from debrisense.configio import default_config, parse_config
+from debrisense.materials import DEFAULT_MATERIALS_TEXT
 from debrisense.sensing import load_model
 
 
@@ -92,18 +93,37 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("setting", [("mimo = 4", "mimo = 0"),
                                      ("mimo = 4", "mimo = 4, -2"),
+                                     ("mimo = 4", "mimo = 4.7"),
                                      ("n_subbands = 4", "n_subbands = 0"),
                                      ("n_subbands = 4", "spacing = 0"),
                                      ("n_subbands = 4", "bandwidth_hz = -1e9"),
                                      ("[channel]", "[svm]\nkernel = poly\n"
                                                    "[channel]"),
                                      ("[channel]", "[svm]\nc = 0\n[channel]")],
-                         ids=["mimo_zero", "mimo_negative", "n_subbands_zero",
+                         ids=["mimo_zero", "mimo_negative", "mimo_fractional",
+                              "n_subbands_zero",
                               "spacing_zero", "bandwidth_negative",
                               "kernel_unknown", "c_zero"])
 def test_bad_array_or_subband_setting_exits_2(tmp_path, capsys, setting):
     cfg_path = tmp_path / "bad.ini"
     cfg_path.write_text(CUSTOM_CONFIG.replace(*setting), encoding="utf-8")
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", [("[rough_metal]", "[rough_metal]\nfacet_lz_m = 9"),
+                                     ("[smooth", "[DEFAULT]\nfacet_ly_m = 0.15\n[smooth"),
+                                     ("roughness_sigma_m = 5e-6",
+                                      "roughness_sigma_m = nan")],
+                         ids=["unknown_key", "default_section", "nan_value"])
+def test_bad_material_file_exits_2(tmp_path, capsys, setting):
+    (tmp_path / "mats.ini").write_text(
+        DEFAULT_MATERIALS_TEXT.replace(*setting), encoding="utf-8")
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(CUSTOM_CONFIG + "\n[materials]\nfile = mats.ini\n",
+                        encoding="utf-8")
     out = tmp_path / "x"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err

@@ -133,6 +133,8 @@ class TestValidation:
         "[intractions]\nsmooth_glass_reflection = 0.1, 0.2, 0.3, 0.4\n",
         "[materials]\nfiles = mats.ini\n",
         "[DEFAULT]\nn_subbands = 4\n",
+        # an antenna count is a whole number, not truncated
+        "[campaign]\nmimo = 4.7\n",
         # the link settings are set from code only
         "[linksim]\ncsi_method = perfect\n",
         # a bare % is an interpolation error inside configparser

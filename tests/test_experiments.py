@@ -1,5 +1,6 @@
 """Campaign grids, interaction draws, per-sample pipeline and outputs."""
 
+import copy
 import math
 from dataclasses import replace
 
@@ -9,8 +10,9 @@ import pytest
 from debrisense.channel import subband_grid
 from debrisense.configio import CampaignGrid, default_config
 from debrisense.errors import TrainingError
-from debrisense.experiments import (Interaction, balanced_partition,
-                                    build_paths, draw_interactions,
+from debrisense.experiments import (_STREAM_SPLIT, Interaction,
+                                    balanced_partition, build_paths,
+                                    draw_interactions,
                                     enumerate_conditions, evaluate_condition,
                                     run_campaign, run_condition, snr_families,
                                     table_config, trend_config,
@@ -283,24 +285,40 @@ class TestPathGeometryFlow:
 
 
 class TestEvaluate:
-    def test_confusion_trace_equals_accuracy(self):
+    def test_cls_acc_is_hit_rate_on_held_out_debris_rows(self):
         cfg = tiny_cfg(samples=40)
         conds, _ = enumerate_conditions(cfg)
         recs = run_condition(conds[1], cfg, master_seed=7)
         summary = evaluate_condition(recs, split_seed=99, cfg=cfg)
-        trace = sum(summary.confusion[c][c] for c in summary.confusion)
-        total = sum(sum(row.values()) for row in summary.confusion.values())
-        assert total > 0
-        assert summary.cls_acc == pytest.approx(trace / total)
+        held_out = [r for r in summary.records
+                    if "test" in r.flags and r.label != "none"]
+        assert held_out
+        hits = sum(summary.classification_model.predict(r.features) == r.label
+                   for r in held_out)
+        assert summary.cls_acc == hits / len(held_out)
+
+    def test_input_records_left_unchanged(self):
+        cfg = tiny_cfg(samples=20)
+        conds, _ = enumerate_conditions(cfg)
+        recs = run_condition(conds[1], cfg, master_seed=8)
+        before = copy.deepcopy(recs)
+        summary = evaluate_condition(recs, split_seed=3, cfg=cfg)
+        assert recs == before
+        assert [replace(r, det_value=None, pred_label=None,
+                        flags=tuple(sorted(set(r.flags) - {"train", "test"})))
+                for r in summary.records] == before
 
     def test_split_membership_recorded(self):
         cfg = tiny_cfg(samples=20)
         conds, _ = enumerate_conditions(cfg)
         recs = run_condition(conds[0], cfg, master_seed=8)
-        evaluate_condition(recs, split_seed=3, cfg=cfg)
-        markers = [("train" in r.flags) + ("test" in r.flags) for r in recs]
+        summary = evaluate_condition(recs, split_seed=3, cfg=cfg)
+        markers = [("train" in r.flags) + ("test" in r.flags)
+                   for r in summary.records]
+        assert len(markers) == 20
         assert all(m == 1 for m in markers)
-        assert sum("test" in r.flags for r in recs) == 6  # 30% of 20, stratified
+        # 30% of 20, stratified
+        assert sum("test" in r.flags for r in summary.records) == 6
 
     def test_degenerate_split_names_class(self):
         cfg = tiny_cfg(samples=12)
@@ -315,8 +333,9 @@ class TestEvaluate:
         cfg = tiny_cfg(samples=20)
         conds, _ = enumerate_conditions(cfg)
         recs = run_condition(conds[1], cfg, master_seed=11)
-        evaluate_condition(recs, split_seed=5, cfg=cfg)
-        for r in recs:
+        summary = evaluate_condition(recs, split_seed=5, cfg=cfg)
+        assert len(summary.records) == len(recs)
+        for r in summary.records:
             assert r.det_value is not None
             assert r.pred_label in ("none", "smooth_glass", "rough_metal")
 
@@ -329,8 +348,8 @@ def test_no_debris_rows_rarely_alert_at_high_frequency():
     cond = next(c for c in conds if c.frequency_hz == 5e12
                 and c.snr_db == 20.0 and c.density_per_km3 == 1e-6)
     recs = run_condition(cond, cfg, master_seed=1)
-    evaluate_condition(recs, split_seed=7)
-    none_rows = [r for r in recs if r.label == "none"]
+    summary = evaluate_condition(recs, split_seed=7, cfg=cfg)
+    none_rows = [r for r in summary.records if r.label == "none"]
     false_alarms = sum(r.pred_label != "none" for r in none_rows)
     assert false_alarms <= 0.1 * len(none_rows)
 
@@ -388,3 +407,32 @@ class TestCampaignOutputs:
         for recs in result.records.values():
             for rec in recs:
                 assert ("train" in rec.flags) != ("test" in rec.flags)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_shared_no_debris_cell_carries_last_density_group(self, threads):
+        # each frequency's no-debris cell is pooled by all three density
+        # groups; its rows carry what a standalone evaluation of the last
+        # (highest-density) group at that frequency gives them
+        cfg, seed = table_config(1, samples=9), 3
+        result = run_campaign(cfg, master_seed=seed, threads=threads)
+        last = {}
+        for g_idx, group in enumerate(result.groups):
+            for cid in group.condition_ids:
+                last[cid] = (g_idx, group)
+        conds = {c.condition_id: c for c in result.conditions}
+        none_conds = [c for c in result.conditions if c.labels == ("none",)]
+        assert len(none_conds) == 4
+        for cond in none_conds:
+            g_idx, group = last[cond.condition_id]
+            assert group.axis_value == max(cfg.campaign.densities_per_km3)
+            pooled = [rec for cid in group.condition_ids
+                      for rec in run_condition(conds[cid], cfg, seed)]
+            split_seed = int(np.random.SeedSequence(
+                [seed, _STREAM_SPLIT, g_idx]).generate_state(1)[0])
+            alone = evaluate_condition(pooled, split_seed, cfg).records
+            alone = [r for r in alone if r.condition_id == cond.condition_id]
+            shared = result.records[cond.condition_id]
+            assert len(shared) == len(alone) == 9
+            for a, b in zip(alone, shared):
+                assert (a.sample_idx, a.det_value, a.pred_label, a.flags) == \
+                    (b.sample_idx, b.det_value, b.pred_label, b.flags)

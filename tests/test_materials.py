@@ -61,6 +61,19 @@ def test_negative_roughness_rejected():
         parse_materials(bad)
 
 
+@pytest.mark.parametrize("text", [
+    GLASS_TEXT + "facet_lz_m = 9\n",
+    "[DEFAULT]\nfacet_ly_m = 0.1\n" + GLASS_TEXT.replace("facet_ly_m = 0.1", ""),
+    GLASS_TEXT.replace("roughness_sigma_m = 5e-6", "roughness_sigma_m = nan"),
+    GLASS_TEXT.replace("facet_lx_m = 0.1", "facet_lx_m = inf"),
+    GLASS_TEXT.replace("1e12:300", "1e12:nan"),
+], ids=["unknown_key", "default_section", "nan_scalar", "inf_scalar",
+        "nan_table"])
+def test_unknown_key_default_section_and_non_finite_rejected(text):
+    with pytest.raises(ConfigError):
+        parse_materials(text)
+
+
 def test_missing_key_rejected():
     bad = GLASS_TEXT.replace("facet_ly_m = 0.1", "")
     with pytest.raises(ConfigError):
