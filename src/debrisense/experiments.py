@@ -10,15 +10,19 @@ draws nest across frequencies (activation probabilities rise with f).
 
 The unit of work is an SNR family: the conditions that differ only in SNR.
 None of the seed streams depends on SNR, so the siblings of a family share
-one channel build per sample (scene, interactions, paths, the sub-band
-matrices and the payload and unit-noise draws); only the link and the
-features run once per sibling.  Within a sample, each path's geometry,
-angles and steering are resolved once; only its gain is evaluated per
-sub-band.
+one draw per sample: scene, interactions, paths, the sub-band channel
+matrices, the payload and unit-noise draws, and the SNR-independent link
+terms (the noiseless received blocks and each sub-band's signal power).
+Each sibling then only scales the noise to its SNR, equalizes and counts
+bit errors, and extracts the features, on stacks of sub-bands rather than
+one matrix at a time.  Within a sample, each path's geometry, angles and
+steering are resolved once; only its gain is evaluated per sub-band.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -30,8 +34,13 @@ from .channel import (apply_rician_smallscale, assemble_subband,
                       steering_matrix, subband_grid)
 from .configio import SimulationConfig, CampaignGrid, default_config
 from .errors import ConfigError, DebrisenseError, EqualizationError, TrainingError
-from .linksim import (complex_normal_blocks, estimate_csi, qpsk_demodulate,
-                      qpsk_modulate, transmit, zf_equalize)
+# transmit and estimate_csi are the per-matrix form of the link that
+# simulate_sample runs on stacks; perfbench's layer tracer patches both names
+# on this module
+from .linksim import (CsiEstimate, CsiMethod, add_noise, csi_error_variance,
+                      estimate_csi, fill_complex_normal, noise_variance,
+                      noiseless_output, qpsk_demodulate, qpsk_modulate,
+                      signal_power, transmit, zf_equalize)
 from .propagation import (Polarization, ScatterGeometry, diffracted_response,
                           los_response, reflected_response, scattered_response)
 from .scene import (DebrisClass, DebrisScene, LinkGeometry, Mechanism,
@@ -397,17 +406,39 @@ def build_paths(scene: DebrisScene, interactions, grid, cfg: SimulationConfig,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class FrameStack:
+    """The frames of consecutive sub-bands that carry the same symbol count L.
+
+    ``subbands`` selects those sub-bands on the sample's sub-band axis.
+    ``signal`` is their noiseless received blocks gamma H x, (k, N, L);
+    ``noise`` the CN(0, 1) units each SNR sibling scales, of the same
+    shape; ``bits`` the payload, (k, 2 N L).
+    """
+    subbands: slice
+    signal: np.ndarray
+    noise: np.ndarray
+    bits: np.ndarray
+
+
+@dataclass(frozen=True)
 class SampleDraw:
     """The SNR-independent part of one sample, shared by its SNR siblings.
 
-    ``subbands`` holds, per sub-band, the channel matrix, the payload bits,
-    their QPSK frame and the CN(0, 1) noise and CSI-error blocks that each
-    sibling scales to its own SNR.
+    The sub-band arrays are stacks along a leading sub-band axis:
+    ``channel`` holds the S channel matrices, (S, N, N), ``csi_error`` the
+    CN(0, 1) units of the LS channel-estimate error, of the same shape, and
+    ``power`` the signal power of each sub-band (linksim.signal_power).
+    The frame's symbols are split over the sub-bands as evenly as they go
+    (500 over 8 gives 63 on sub-bands 0-3 and 62 on 4-7), so ``frames``
+    holds one unpadded FrameStack per run of equal lengths.
     """
     sample_idx: int
     label: str
     flags: tuple[str, ...]
-    subbands: tuple[tuple[np.ndarray, ...], ...]
+    channel: np.ndarray
+    csi_error: np.ndarray
+    power: np.ndarray
+    frames: tuple[FrameStack, ...]
 
 
 def draw_sample(cond: ConditionSpec, label: str, sample_idx: int,
@@ -441,53 +472,112 @@ def draw_sample(cond: ConditionSpec, label: str, sample_idx: int,
 
     grid = subband_grid(cond.frequency_hz, cfg.channel.n_subbands,
                         cfg.channel.bandwidth_hz)
+    # the paths (and their steering matrices) are freed before the payload
+    # stacks are drawn
+    channel = _subband_channels(
+        build_paths(scene, interactions, grid, cfg, flags, cond.n_antennas),
+        grid, cond.n_antennas, geometry.velocity_m_s,
+        functools.partial(cfg.channel.k_factor, label, cond.frequency_hz),
+        fading_rng)
     lengths = balanced_partition(cfg.linksim.frame_symbols,
                                  range(cfg.channel.n_subbands)).values()
-    paths = build_paths(scene, interactions, grid, cfg, flags, cond.n_antennas)
+    return draw_link(sample_idx, label, tuple(flags), channel, lengths, noise_rng)
 
-    subbands = []
-    for k, (f_k, n_syms) in enumerate(zip(grid, lengths)):
+
+def _subband_channels(paths, grid, n_antennas: int, velocity_m_s: float,
+                      k_factor_db, fading_rng) -> np.ndarray:
+    """The (S, N, N) stack of a sample's sub-band channel matrices.
+
+    A sub-band that more than one path reaches gets Rician small-scale
+    fading at the K-factor ``k_factor_db()``.
+    """
+    channel = np.empty((len(grid), n_antennas, n_antennas), dtype=complex)
+    for k, f_k in enumerate(grid):
         terms = [(p.gains[k], p.steering) for p in paths
                  if p.gains[k] is not None]
-        h = assemble_subband(terms, cond.n_antennas, float(f_k),
-                             geometry.velocity_m_s)
+        h = assemble_subband(terms, n_antennas, float(f_k), velocity_m_s)
         if len(terms) > 1:
-            k_db = cfg.channel.k_factor(label, cond.frequency_hz)
-            h = apply_rician_smallscale(h, k_db, fading_rng)
-        bits = noise_rng.integers(0, 2, size=2 * cond.n_antennas * n_syms).astype(np.int8)
-        frame = qpsk_modulate(bits).reshape(cond.n_antennas, n_syms)
-        noise_unit, error_unit = complex_normal_blocks(
-            noise_rng, ((cond.n_antennas, n_syms),
-                        (cond.n_antennas, cond.n_antennas)))
-        subbands.append((h, bits, frame, noise_unit, error_unit))
-    return SampleDraw(sample_idx=sample_idx, label=label, flags=tuple(flags),
-                      subbands=tuple(subbands))
+            h = apply_rician_smallscale(h, k_factor_db(), fading_rng)
+        channel[k] = h
+    return channel
+
+
+def draw_link(sample_idx: int, label: str, flags: tuple[str, ...],
+              channel: np.ndarray, lengths, rng: np.random.Generator) -> SampleDraw:
+    """Payload and unit noise of a sample's (S, N, N) sub-band channels.
+
+    ``lengths`` gives each sub-band's frame length in symbols.  Per
+    sub-band, in order, ``rng`` supplies the payload bits and then one
+    block of noise and CSI-error units.  Every array is written in place
+    into its stack.
+    """
+    n_antennas = channel.shape[-1]
+    csi_error = np.empty_like(channel)
+    frames = []
+    start = 0
+    for n_syms, run in itertools.groupby(lengths):
+        count = len(tuple(run))
+        frames.append(FrameStack(
+            subbands=slice(start, start + count),
+            signal=np.empty((count, n_antennas, n_syms), dtype=complex),
+            noise=np.empty((count, n_antennas, n_syms), dtype=complex),
+            bits=np.empty((count, 2 * n_antennas * n_syms), dtype=np.int8)))
+        start += count
+    for frame in frames:
+        for j, k in enumerate(range(frame.subbands.start, frame.subbands.stop)):
+            # drawn as int64, as the stream has always been consumed; stored as int8
+            frame.bits[j] = rng.integers(0, 2, size=frame.bits.shape[1])
+            fill_complex_normal(rng, (frame.noise[j], csi_error[k]))
+            frame.signal[j] = noiseless_output(
+                channel[k], qpsk_modulate(frame.bits[j]).reshape(frame.noise.shape[1:]))
+    return SampleDraw(sample_idx=sample_idx, label=label, flags=flags,
+                      channel=channel, csi_error=csi_error,
+                      power=np.array([signal_power(h) for h in channel]),
+                      frames=tuple(frames))
+
+
+def _bit_errors(y: np.ndarray, csi: CsiEstimate, bits: np.ndarray,
+                flags: list) -> float:
+    """Bit errors of ZF and hard QPSK decisions on one sub-band or a stack.
+
+    A stack that fails zero-forcing is equalized again one sub-band at a
+    time; a sub-band that fails on its own books half its bits and the
+    ``eq_error`` flag.
+    """
+    try:
+        est = zf_equalize(y, csi)
+    except EqualizationError:
+        if csi.matrix.ndim == 2:
+            flags.append("eq_error")
+            return bits.size * 0.5
+        return sum(_bit_errors(y_k, CsiEstimate(h_k, csi.method), bits_k, flags)
+                   for y_k, h_k, bits_k in zip(y, csi.matrix, bits))
+    return float(np.count_nonzero(qpsk_demodulate(est) != bits.ravel()))
 
 
 def simulate_sample(cond: ConditionSpec, draw: SampleDraw,
                     cfg: SimulationConfig) -> SampleRecord:
-    """Link and features of one drawn sample at the condition's SNR."""
-    pilot_len = cfg.linksim.pilot_factor * cond.n_antennas
+    """Link and features of one drawn sample at the condition's SNR, run on
+    the draw's sub-band stacks."""
     method = cfg.linksim.csi_method
+    noise_var = noise_variance(draw.power, cond.snr_db)
+    if method is CsiMethod.PERFECT:
+        csi = draw.channel
+    else:
+        pilot_len = cfg.linksim.pilot_factor * cond.n_antennas
+        csi = add_noise(draw.channel,
+                        csi_error_variance(noise_var, cond.n_antennas, pilot_len),
+                        draw.csi_error)
     flags = list(draw.flags)
     err_bits = 0.0
     total_bits = 0
-    csi_stack = []
-    for h, bits, frame, noise_unit, error_unit in draw.subbands:
-        y = transmit(h, frame, cond.snr_db, rng=None, noise_unit=noise_unit)
-        csi = estimate_csi(h, pilot_len, cond.snr_db, rng=None, method=method,
-                           error_unit=error_unit)
-        csi_stack.append(csi.matrix)
-        try:
-            est = zf_equalize(y, csi)
-            rx_bits = qpsk_demodulate(est.ravel())
-            err_bits += float(np.count_nonzero(rx_bits != bits))
-        except EqualizationError:
-            err_bits += bits.size * 0.5
-            flags.append("eq_error")
-        total_bits += bits.size
+    for frame in draw.frames:
+        y = add_noise(frame.signal, noise_var[frame.subbands], frame.noise)
+        err_bits += _bit_errors(y, CsiEstimate(csi[frame.subbands], method),
+                                frame.bits, flags)
+        total_bits += frame.bits.size
 
-    features = extract_features(np.stack(csi_stack))
+    features = extract_features(csi)
     return SampleRecord(condition_id=cond.condition_id,
                         sample_idx=draw.sample_idx, label=draw.label,
                         ber=err_bits / total_bits, features=features,
@@ -648,7 +738,7 @@ class CampaignResult:
     conditions: list
     groups: list
     records: dict          # condition_id -> list[SampleRecord]
-    summaries: dict        # group_id -> MetricsSummary
+    summaries: dict        # group_id -> MetricsSummary, records left empty
     cond_group_acc: dict   # condition_id -> (det_acc, cls_acc)
 
 
@@ -682,7 +772,8 @@ def run_campaign(cfg: SimulationConfig, master_seed: int,
         split_seed = int(np.random.SeedSequence(
             [master_seed, _STREAM_SPLIT, g_idx]).generate_state(1)[0])
         summary = evaluate_condition(pooled, split_seed, cfg)
-        summaries[group.group_id] = summary
+        # the copies live on in ``annotated`` only, and only the last group's
+        summaries[group.group_id] = replace(summary, records=())
         copies = iter(summary.records)
         for cid in group.condition_ids:
             annotated[cid] = [next(copies) for _ in by_id[cid]]

@@ -65,13 +65,48 @@ def qpsk_demodulate(symbols: np.ndarray) -> np.ndarray:
     return bits.ravel()
 
 
-def noise_variance_for_snr(h: np.ndarray, snr_db: float, n_tx: int) -> float:
-    """Complex noise variance giving the requested average per-antenna SNR."""
-    snr_lin = 10.0 ** (snr_db / 10.0)
-    gamma_sq = 1.0 / n_tx
-    n_rx = h.shape[0]
-    signal_power = gamma_sq * float(np.linalg.norm(h) ** 2) / n_rx
-    return signal_power / snr_lin
+def signal_power(h: np.ndarray) -> float:
+    """Average per-receive-antenna power of the noiseless output gamma H x.
+
+    Unit-energy symbols sent at gamma = 1/sqrt(Nt) give ||H||_F^2 / (Nt Nr).
+    """
+    n_rx, n_tx = np.shape(h)
+    return (1.0 / n_tx) * float(np.linalg.norm(h) ** 2) / n_rx
+
+
+def noise_variance(power, snr_db: float):
+    """Complex noise variance that puts a signal of ``power`` at ``snr_db``.
+
+    ``power`` may be one value per sub-band.
+    """
+    return power / 10.0 ** (snr_db / 10.0)
+
+
+def csi_error_variance(noise_var, n_tx: int, pilot_length: int):
+    """Per-entry variance of the LS channel estimate from an orthogonal
+    unit-modulus pilot block: sigma_n^2 / (gamma^2 * pilot_length)."""
+    if pilot_length < n_tx:
+        raise ConfigError(f"pilot length {pilot_length} shorter than Nt={n_tx}")
+    return noise_var * n_tx / pilot_length  # gamma^2 = 1/Nt
+
+
+def add_noise(signal: np.ndarray, variance, unit: np.ndarray) -> np.ndarray:
+    """signal + sqrt(variance) * unit for complex CN(0, 1) ``unit`` of the
+    same shape.
+
+    On a stack of matrices, ``variance`` may hold one value per matrix.
+    """
+    scale = np.sqrt(variance)
+    if np.ndim(scale):
+        scale = scale[..., None, None]
+    out = scale * unit
+    out += signal  # addition commutes bit for bit: no second temporary
+    return out
+
+
+def noiseless_output(h: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """The noiseless received block gamma * (H @ x), gamma = 1/sqrt(Nt)."""
+    return (1.0 / math.sqrt(h.shape[-1])) * (h @ frame)
 
 
 def transmit(h: np.ndarray, frame: np.ndarray, snr_db: float,
@@ -80,38 +115,39 @@ def transmit(h: np.ndarray, frame: np.ndarray, snr_db: float,
     """Send a symbol frame through y = H x / sqrt(Nt) + n.
 
     ``noise_unit`` may provide a pre-drawn CN(0,1) block of the output
-    shape (used to share noise realizations across SNR sweeps); otherwise
-    the generator supplies it.
+    shape; otherwise the generator supplies it.
     """
     h = np.asarray(h)
     frame = np.asarray(frame)
     n_rx, n_tx = h.shape
     if frame.ndim != 2 or frame.shape[0] != n_tx:
         raise ValueError(f"frame shape {frame.shape} does not match Nt={n_tx}")
-    gamma = 1.0 / math.sqrt(n_tx)
-    sigma_sq = noise_variance_for_snr(h, snr_db, n_tx)
     if noise_unit is None:
         if rng is None:
             raise ValueError("provide either rng or noise_unit")
         noise_unit = complex_normal(rng, (n_rx, frame.shape[1]))
-    noise = math.sqrt(sigma_sq) * noise_unit
-    return gamma * (h @ frame) + noise
+    return add_noise(noiseless_output(h, frame),
+                     noise_variance(signal_power(h), snr_db), noise_unit)
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """CN(0, 1) samples."""
-    return complex_normal_blocks(rng, (shape,))[0]
+    block = np.empty(shape, dtype=complex)
+    fill_complex_normal(rng, (block,))
+    return block
 
 
-def complex_normal_blocks(rng: np.random.Generator, shapes) -> list[np.ndarray]:
-    """CN(0, 1) blocks of the given shapes from one generator call.
+def fill_complex_normal(rng: np.random.Generator, blocks) -> None:
+    """Fill C-contiguous complex arrays with CN(0, 1) from one generator call.
 
     Each block takes its real and then its imaginary parts from
     consecutive normals and is scaled by 1/sqrt(2), so the blocks and the
     generator's state after them equal those of one two-call draw
-    ``(re + 1j*im) / sqrt(2)`` per shape, in order.
+    ``(re + 1j*im) / sqrt(2)`` per block, in order.  A block may be a view
+    into a larger array, such as one sub-band of a stack.
     """
-    blocks = [np.empty(shape, dtype=complex) for shape in shapes]
+    if not all(block.flags.c_contiguous for block in blocks):
+        raise ValueError("blocks must be C-contiguous")
     normals = rng.standard_normal(2 * sum(block.size for block in blocks))
     start = 0
     for block in blocks:
@@ -120,7 +156,6 @@ def complex_normal_blocks(rng: np.random.Generator, shapes) -> list[np.ndarray]:
         flat.imag = normals[start + block.size:start + 2 * block.size]
         block *= _INV_SQRT2
         start += 2 * block.size
-    return blocks
 
 
 def estimate_csi(h_true: np.ndarray, pilot_length: int, snr_db: float,
@@ -132,69 +167,80 @@ def estimate_csi(h_true: np.ndarray, pilot_length: int, snr_db: float,
     Perfect mode returns the truth.  Least-squares mode adds the exact LS
     error of an orthogonal unit-modulus pilot block of ``pilot_length``
     columns: i.i.d. complex Gaussian with per-entry variance
-    sigma_n^2 / (gamma^2 * pilot_length).
+    :func:`csi_error_variance`.
     """
     h_true = np.asarray(h_true)
     n_rx, n_tx = h_true.shape
     if method is CsiMethod.PERFECT:
         return CsiEstimate(matrix=h_true.copy(), method=method)
-    if pilot_length < n_tx:
-        raise ConfigError(f"pilot length {pilot_length} shorter than Nt={n_tx}")
-    sigma_sq = noise_variance_for_snr(h_true, snr_db, n_tx)
-    err_var = sigma_sq * n_tx / pilot_length  # gamma^2 = 1/Nt
+    err_var = csi_error_variance(noise_variance(signal_power(h_true), snr_db),
+                                 n_tx, pilot_length)
     if error_unit is None:
         if rng is None:
             raise ValueError("provide either rng or error_unit")
         error_unit = complex_normal(rng, (n_rx, n_tx))
-    return CsiEstimate(matrix=h_true + math.sqrt(err_var) * error_unit,
+    return CsiEstimate(matrix=add_noise(h_true, err_var, error_unit),
                        method=method)
+
+
+def _squared_frobenius(a: np.ndarray) -> np.ndarray:
+    """||A||_F^2 of each matrix of a stack."""
+    parts = np.ascontiguousarray(a, dtype=complex).view(np.float64)  # re, im pairs
+    return np.einsum("...ij,...ij->...", parts, parts)
 
 
 def zf_equalize(y: np.ndarray, csi: CsiEstimate) -> np.ndarray:
     """Zero-forcing equalization: pinv(H) @ y, from one LU inverse.
 
-    A tall estimate is first reduced to its square R factor (H = QR,
-    y -> Q^H y).  The estimate is H^-1 @ y.  Raises EqualizationError
-    unless the estimate has full column rank (Nr >= Nt, smallest singular
-    value above ZF_RANK_TOL of the largest); callers record such samples
-    at BER 0.5 with a flag.
+    ``csi.matrix`` and ``y`` may carry leading stack axes; each matrix of
+    the stack equalizes its own block, and the stack raises if any matrix
+    fails.  A tall estimate is first reduced to its square R factor
+    (H = QR, y -> Q^H y).  The estimate is H^-1 @ y.  Raises
+    EqualizationError unless the estimate has full column rank (Nr >= Nt,
+    smallest singular value above ZF_RANK_TOL of the largest); callers
+    record such samples at BER 0.5 with a flag.
 
-    The values-only SVD that applies that rule runs only when the
-    Frobenius bound kappa_2 <= kappa_F = ||H||_F ||H^-1||_F cannot
-    certify the rank: when kappa_F * _ZF_BOUND_MARGIN >= 1 / ZF_RANK_TOL
+    The values-only SVD that applies that rule runs only on the matrices
+    whose Frobenius bound kappa_2 <= kappa_F = ||H||_F ||H^-1||_F cannot
+    certify the rank: where kappa_F * _ZF_BOUND_MARGIN >= 1 / ZF_RANK_TOL
     or kappa_F is not finite.  The margin covers the rounding of the
-    computed inverse and singular values, so a skipped SVD could not have
-    found the estimate rank-deficient (Golub & Van Loan, Matrix
+    computed inverse, norms and singular values, so a skipped SVD could
+    not have found the estimate rank-deficient (Golub & Van Loan, Matrix
     Computations, section 2.3).
     """
     h, y = np.asarray(csi.matrix), np.asarray(y)
-    if h.shape[0] < h.shape[1]:
+    n_rx, n_tx = h.shape[-2:]
+    if n_rx < n_tx:
         raise EqualizationError(
-            f"{h.shape[0]}x{h.shape[1]} CSI is wide; zero-forcing needs "
-            f"full column rank")
-    if h.shape[0] > h.shape[1]:
+            f"{n_rx}x{n_tx} CSI is wide; zero-forcing needs full column rank")
+    if n_rx > n_tx:
         q, h = np.linalg.qr(h)
-        y = q.conj().T @ y
+        y = q.conj().swapaxes(-1, -2) @ y
     try:
         h_inv = np.linalg.inv(h)
     except np.linalg.LinAlgError:
         raise EqualizationError(
-            f"{h.shape[0]}x{h.shape[1]} CSI is exactly singular; "
+            f"{n_rx}x{n_tx} CSI is exactly singular; "
             f"zero-forcing needs full column rank") from None
-    # vdot gives each squared Frobenius norm without numpy's overflow
-    # warning: an inverse too large to square reads inf, hence uncertified
-    kappa_f = math.sqrt(float(np.vdot(h, h).real) * float(np.vdot(h_inv, h_inv).real))
-    if not kappa_f * _ZF_BOUND_MARGIN < 1.0 / ZF_RANK_TOL:
+    # an inverse too large to square reads inf, and inf * 0 NaN: both
+    # leave the rank uncertified
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa_f = np.sqrt(_squared_frobenius(h) * _squared_frobenius(h_inv))
+    uncertified = ~(kappa_f * _ZF_BOUND_MARGIN < 1.0 / ZF_RANK_TOL)
+    if uncertified.any():
         try:
-            s = np.linalg.svd(h, compute_uv=False)
+            s = np.linalg.svd(h[uncertified], compute_uv=False)
         except np.linalg.LinAlgError:  # e.g. NaN entries
             raise EqualizationError(
-                f"{h.shape[0]}x{h.shape[1]} CSI has no SVD; zero-forcing "
-                f"needs full column rank") from None
-        if not s[-1] > ZF_RANK_TOL * s[0]:  # NaN values fail too
+                f"{n_rx}x{n_tx} CSI has no SVD; zero-forcing needs full "
+                f"column rank") from None
+        deficient = ~(s[..., -1] > ZF_RANK_TOL * s[..., 0])  # NaN values fail too
+        if deficient.any():
+            worst = s[deficient][0]
             raise EqualizationError(
-                f"{h.shape[0]}x{h.shape[1]} CSI has singular values "
-                f"{s[0]:.3e}..{s[-1]:.3e}; zero-forcing needs full column rank")
+                f"{n_rx}x{n_tx} CSI has singular values "
+                f"{worst[0]:.3e}..{worst[-1]:.3e}; zero-forcing needs full "
+                f"column rank")
     return h_inv @ y
 
 

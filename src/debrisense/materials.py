@@ -130,6 +130,15 @@ def _parse_breakpoints(raw: str, section: str, key: str):
     return tuple(points)
 
 
+def _parse_scalar(sec: dict, section: str, key: str) -> float:
+    raw = sec.pop(key)
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise ConfigError(
+            f"material '{section}': cannot parse {key} value '{raw}'") from exc
+
+
 def parse_materials(text: str) -> dict[str, MaterialProperties]:
     """Parse material definitions from INI-style text."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -148,10 +157,10 @@ def parse_materials(text: str) -> dict[str, MaterialProperties]:
                 n_table=_parse_breakpoints(sec.pop("n"), section, "n"),
                 alpha_table=_parse_breakpoints(sec.pop("alpha_per_m"), section,
                                                "alpha_per_m"),
-                roughness_sigma_m=float(sec.pop("roughness_sigma_m")),
-                correlation_length_m=float(sec.pop("correlation_length_m")),
-                facet_lx_m=float(sec.pop("facet_lx_m")),
-                facet_ly_m=float(sec.pop("facet_ly_m")),
+                roughness_sigma_m=_parse_scalar(sec, section, "roughness_sigma_m"),
+                correlation_length_m=_parse_scalar(sec, section, "correlation_length_m"),
+                facet_lx_m=_parse_scalar(sec, section, "facet_lx_m"),
+                facet_ly_m=_parse_scalar(sec, section, "facet_ly_m"),
             )
         except KeyError as exc:
             raise ConfigError(f"material '{section}': missing key {exc}") from exc

@@ -9,16 +9,19 @@ import pytest
 
 from debrisense.channel import subband_grid
 from debrisense.configio import CampaignGrid, default_config
-from debrisense.errors import TrainingError
+from debrisense.errors import EqualizationError, TrainingError
 from debrisense.experiments import (_STREAM_SPLIT, Interaction,
                                     balanced_partition, build_paths,
-                                    draw_interactions,
+                                    draw_interactions, draw_link,
                                     enumerate_conditions, evaluate_condition,
-                                    run_campaign, run_condition, snr_families,
+                                    run_campaign, run_condition,
+                                    simulate_sample, snr_families,
                                     table_config, trend_config,
                                     write_campaign_outputs,
                                     SAMPLE_CSV_HEADER, METRICS_CSV_HEADER)
-from debrisense.linksim import CsiMethod
+from debrisense.linksim import (CsiMethod, complex_normal, estimate_csi,
+                                qpsk_demodulate, qpsk_modulate, transmit,
+                                zf_equalize)
 from debrisense.scene import (DebrisClass, LinkGeometry, Mechanism,
                               SceneConfig, generate_scene)
 
@@ -282,6 +285,44 @@ class TestPathGeometryFlow:
         for rec in none_rows:
             assert "eq_error" in rec.flags
             assert rec.ber == 0.5
+
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0])
+    def test_one_singular_subband_fails_alone(self, snr_db):
+        # sub-band 5's channel and CSI-error unit share a zero column, so its
+        # LS estimate is exactly singular at every SNR: its stack fails ZF,
+        # and only sub-band 5 books half its bits; the others count what
+        # the per-matrix link counts
+        cfg = tiny_cfg()
+        cond = replace(enumerate_conditions(cfg)[0][0], snr_db=snr_db)
+        n, bad = cond.n_antennas, 5
+        channel = complex_normal(np.random.default_rng(4), (8, n, n))
+        channel[bad][:, 2] = 0.0
+        lengths = balanced_partition(cfg.linksim.frame_symbols, range(8)).values()
+        draw = draw_link(0, "none", (), channel, lengths, np.random.default_rng(5))
+        draw.csi_error[bad][:, 2] = 0.0
+
+        pilot = cfg.linksim.pilot_factor * n
+        errors, total = 0.0, 0
+        for frame in draw.frames:
+            for k, noise, bits in zip(range(frame.subbands.start, frame.subbands.stop),
+                                      frame.noise, frame.bits):
+                tx = qpsk_modulate(bits).reshape(noise.shape)
+                y = transmit(channel[k], tx, snr_db, None, noise_unit=noise)
+                csi = estimate_csi(channel[k], pilot, snr_db, None,
+                                   error_unit=draw.csi_error[k])
+                total += bits.size
+                if k == bad:
+                    with pytest.raises(EqualizationError):
+                        zf_equalize(y, csi)
+                    errors += bits.size * 0.5
+                    continue
+                est = zf_equalize(y, csi)
+                errors += np.count_nonzero(qpsk_demodulate(est.ravel()) != bits)
+        assert errors > 0.5 * draw.frames[1].bits[0].size  # not only sub-band 5
+
+        rec = simulate_sample(cond, draw, cfg)
+        assert rec.ber == errors / total
+        assert rec.flags.count("eq_error") == 1
 
 
 class TestEvaluate:

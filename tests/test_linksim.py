@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import kernel_reference as ref
 from debrisense.errors import ConfigError, EqualizationError
 from debrisense.linksim import (ZF_RANK_TOL, CsiEstimate, CsiMethod,
-                                complex_normal, complex_normal_blocks,
-                                compute_ber, estimate_csi, qpsk_demodulate,
+                                complex_normal, compute_ber, estimate_csi,
+                                fill_complex_normal, qpsk_demodulate,
                                 qpsk_modulate, transmit, zf_equalize)
 
 
@@ -74,12 +74,17 @@ class TestComplexNormal:
         # blocks of two complex_normal calls each, and the draw after them
         # is the same
         a, b = np.random.default_rng(n), np.random.default_rng(n)
-        noise, error = complex_normal_blocks(a, ((n, length), (n, n)))
+        noise, error = np.empty((n, length), complex), np.empty((n, n), complex)
+        fill_complex_normal(a, (noise, error))
         assert noise.tobytes() == ref.complex_normal(b, (n, length)).tobytes()
         assert error.tobytes() == ref.complex_normal(b, (n, n)).tobytes()
-        assert noise.shape == (n, length) and error.shape == (n, n)
-        assert noise.flags.c_contiguous and error.flags.c_contiguous
         assert a.standard_normal() == b.standard_normal()
+
+    def test_non_contiguous_block_rejected(self):
+        # reshape(-1) of a strided view is a copy, so the fill would be lost
+        with pytest.raises(ValueError):
+            fill_complex_normal(np.random.default_rng(0),
+                                (np.empty((4, 4), complex).T,))
 
     @pytest.mark.parametrize("shape", [200, (3, 5), (2, 3, 4)])
     def test_single_block_matches_formula(self, shape):
@@ -165,6 +170,33 @@ class TestZeroForcing:
                 assert np.array_equal(
                     qpsk_demodulate(est), qpsk_demodulate(np.linalg.pinv(csi.matrix) @ y))
 
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_stack_matches_per_matrix_calls_bit_for_bit(self, n):
+        # a stack of 4 LS estimates equalizes to the same bytes as four
+        # separate calls
+        rng = np.random.default_rng(200 + n)
+        ys, csis = [], []
+        for snr_db in (5.0, 10.0, 15.0, 20.0):
+            h = complex_normal(rng, (n, n))
+            frame = qpsk_modulate(rng.integers(0, 2, size=2 * n * 63)).reshape(n, 63)
+            ys.append(transmit(h, frame, snr_db, rng))
+            csis.append(estimate_csi(h, 2 * n, snr_db, rng).matrix)
+        stacked = zf_equalize(np.stack(ys), CsiEstimate(
+            matrix=np.stack(csis), method=CsiMethod.LEAST_SQUARES))
+        assert stacked.shape == (4, n, 63)
+        for k in range(4):
+            alone = zf_equalize(ys[k], CsiEstimate(
+                matrix=csis[k], method=CsiMethod.LEAST_SQUARES))
+            assert stacked[k].tobytes() == alone.tobytes()
+
+    def test_stack_with_one_exactly_singular_matrix_rejected(self):
+        rng = np.random.default_rng(6)
+        h = complex_normal(rng, (4, 16, 16))
+        h[2][:, 5] = 0.0
+        with pytest.raises(EqualizationError):
+            zf_equalize(complex_normal(rng, (4, 16, 63)),
+                        CsiEstimate(matrix=h, method=CsiMethod.PERFECT))
+
     def test_rank_deficient_rejected(self):
         h = np.outer(np.ones(4), np.ones(4)).astype(complex)  # rank 1
         with pytest.raises(EqualizationError):
@@ -209,6 +241,30 @@ class TestZeroForcing:
         else:
             assert np.all(np.isfinite(zf_equalize(y, csi)))
         assert svd_calls == [1]
+
+    @pytest.mark.parametrize("kappa", [1e11, 1e13])
+    def test_stack_runs_the_svd_on_uncertified_matrices_only(self, kappa,
+                                                              monkeypatch):
+        rng = np.random.default_rng(7)
+        u, _ = np.linalg.qr(complex_normal(rng, (16, 16)))
+        h = complex_normal(rng, (4, 16, 16))
+        h[1] = (u * np.geomspace(1.0, 1.0 / kappa, 16)) @ u.conj().T
+        svd_rows = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            svd_rows.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        csi = CsiEstimate(matrix=h, method=CsiMethod.PERFECT)
+        y = complex_normal(rng, (4, 16, 5))
+        if kappa > 1.0 / ZF_RANK_TOL:
+            with pytest.raises(EqualizationError):
+                zf_equalize(y, csi)
+        else:
+            assert np.all(np.isfinite(zf_equalize(y, csi)))
+        assert svd_rows == [1]
 
     def test_well_conditioned_rank_certified_without_svd(self, monkeypatch):
         rng = np.random.default_rng(64)

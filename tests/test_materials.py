@@ -74,6 +74,16 @@ def test_unknown_key_default_section_and_non_finite_rejected(text):
         parse_materials(text)
 
 
+@pytest.mark.parametrize("key,value", [("roughness_sigma_m", "5e-6"),
+                                       ("correlation_length_m", "500e-6"),
+                                       ("facet_lx_m", "0.1"),
+                                       ("facet_ly_m", "0.1")])
+def test_non_numeric_scalar_names_material_and_key(key, value):
+    bad = GLASS_TEXT.replace(f"{key} = {value}", f"{key} = abc")
+    with pytest.raises(ConfigError, match=f"'glassy'.*{key}"):
+        parse_materials(bad)
+
+
 def test_missing_key_rejected():
     bad = GLASS_TEXT.replace("facet_ly_m = 0.1", "")
     with pytest.raises(ConfigError):
