@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .linksim import complex_normal
 from .propagation import doppler_factor
 
 
@@ -66,8 +67,7 @@ def apply_rician_smallscale(h_det: np.ndarray, k_factor_db: float,
         raise ValueError("K-factor must be finite (in dB)")
     k = 10.0 ** (k_factor_db / 10.0)
     n_rx, n_tx = h_det.shape
-    w = (rng.standard_normal((n_rx, n_tx)) +
-         1j * rng.standard_normal((n_rx, n_tx))) / math.sqrt(2.0)
+    w = complex_normal(rng, (n_rx, n_tx))
     scale = np.linalg.norm(h_det) / math.sqrt(n_rx * n_tx)
     return (math.sqrt(k / (k + 1.0)) * h_det
             + math.sqrt(1.0 / (k + 1.0)) * scale * w)

@@ -17,9 +17,9 @@ import sys
 
 import numpy as np
 
-from .configio import SvmSettings, load_config, reference_text
+from .configio import NO_DEBRIS_LABEL, SvmSettings, load_config, reference_text
 from .errors import ConfigError, DebrisenseError
-from .experiments import (DEBRIS_LABEL, NO_DEBRIS_LABEL, detection_labels,
+from .experiments import (DEBRIS_LABEL, FEATURE_COLUMNS, detection_labels,
                           reproduce_table, run_campaign, write_campaign_outputs)
 from .sensing import (FeatureVector, LabeledDataset, load_model, save_model,
                       svm_train)
@@ -31,7 +31,7 @@ def _read_samples_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         idx = {name: i for i, name in enumerate(header)}
-        needed = ("label", "f_mean", "f_var", "f_max", "f_min", "f_skew")
+        needed = ("label", *FEATURE_COLUMNS)
         missing = [n for n in needed if n not in idx]
         if missing:
             raise ConfigError(f"samples CSV missing columns {missing}")
@@ -41,8 +41,7 @@ def _read_samples_csv(path):
                 continue
             parts = line.split(",")
             rows.append((parts[idx["label"]],
-                         [float(parts[idx[k]]) for k in
-                          ("f_mean", "f_var", "f_max", "f_min", "f_skew")]))
+                         [float(parts[idx[k]]) for k in FEATURE_COLUMNS]))
     if not rows:
         raise ConfigError(f"no sample rows in {path}")
     labels = tuple(r[0] for r in rows)

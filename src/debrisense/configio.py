@@ -23,14 +23,18 @@ from .errors import ConfigError
 from .linksim import CsiMethod
 from .materials import default_materials, load_materials
 from .propagation import Polarization
-from .scene import DebrisClass, Mechanism
+from .scene import DEBRIS_MECHANISMS, LinkGeometry, Mechanism
 from .svm import KERNEL_KINDS
 
-MECHANISM_KEYS = ("reflection", "scattering", "diffraction")
-CAMPAIGN_KINDS = ("density_frequency", "frequency_snr", "mimo_frequency", "trend")
+# The class label of a sample without debris; every other label names a material.
+NO_DEBRIS_LABEL = "none"
+# Campaign kind -> its tag in condition ids and seed streams.
+CAMPAIGN_KINDS = {"density_frequency": 1, "frequency_snr": 2, "mimo_frequency": 3,
+                  "trend": 7}
+MECHANISM_KEYS = tuple(mech.value for mech in DEBRIS_MECHANISMS)
 
 
-def _check_choice(name: str, value: str, allowed: tuple[str, ...]) -> None:
+def _check_choice(name: str, value: str, allowed) -> None:
     if value not in allowed:
         raise ConfigError(f"{name} must be {'|'.join(allowed)}, got {value!r}")
 
@@ -43,12 +47,6 @@ def _interp_log_f(table: str, freqs, values, f_hz: float) -> float:
                           f"(range {freqs[0]:.4g}..{freqs[-1]:.4g})")
     return float(np.interp(math.log10(f_hz), [math.log10(f) for f in freqs],
                            values))
-
-
-@dataclass(frozen=True)
-class LinkConfig:
-    distance_km: float = 500.0
-    velocity_km_s: float = 7.0
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ class InteractionTable:
     """
 
     frequencies_hz: tuple[float, ...]
-    probabilities: dict  # (class_value, mechanism_value) -> tuple[float, ...]
+    probabilities: dict  # (class, mechanism value) -> tuple[float, ...]
 
     def __post_init__(self):
         freqs = list(self.frequencies_hz)
@@ -83,9 +81,9 @@ class InteractionTable:
             if any(not (0.0 <= p <= 1.0) for p in probs):
                 raise ConfigError(f"interaction row {key} has probabilities outside [0,1]")
 
-    def probability(self, debris_class: DebrisClass, mechanism: Mechanism,
+    def probability(self, debris_class: str, mechanism: Mechanism,
                     f_hz: float) -> float:
-        key = (debris_class.value, mechanism.value)
+        key = (debris_class, mechanism.value)
         if key not in self.probabilities:
             raise ConfigError(f"no interaction probabilities for {key}")
         return _interp_log_f("interaction table", self.frequencies_hz,
@@ -153,7 +151,7 @@ class CampaignGrid:
     snr_values_db: tuple[float, ...] = (5.0, 10.0, 15.0, 20.0)
     mimo_sizes: tuple[int, ...] = (16,)
     densities_per_km3: tuple[float, ...] = (1e-6,)
-    classes: tuple[str, ...] = ("none", "smooth_glass", "rough_metal")
+    classes: tuple[str, ...] = (NO_DEBRIS_LABEL, "smooth_glass", "rough_metal")
     samples_per_condition: int = 200
 
     def __post_init__(self):
@@ -161,6 +159,12 @@ class CampaignGrid:
                      "densities_per_km3", "classes"):
             if not getattr(self, name):
                 raise ConfigError(f"campaign list {name} must be non-empty")
+        if len(set(self.classes)) != len(self.classes):
+            raise ConfigError(f"campaign classes repeat a name: {', '.join(self.classes)}")
+        if NO_DEBRIS_LABEL not in self.classes:
+            raise ConfigError(f"campaign classes must include {NO_DEBRIS_LABEL!r}")
+        if len(self.classes) < 2:
+            raise ConfigError("campaign classes need at least one debris class")
         if self.samples_per_condition < 2 * len(self.classes):
             raise ConfigError("need >= 2 samples per class per condition")
         _check_choice("campaign kind", self.kind, CAMPAIGN_KINDS)
@@ -183,7 +187,7 @@ DEFAULT_INTERACTIONS = InteractionTable(
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    link: LinkConfig = field(default_factory=LinkConfig)
+    link: LinkGeometry = LinkGeometry(distance_km=500.0, velocity_km_s=7.0)
     scene: SceneSettings = field(default_factory=SceneSettings)
     materials: dict = field(default_factory=default_materials)
     interactions: InteractionTable = DEFAULT_INTERACTIONS
@@ -326,8 +330,8 @@ def load_config(path) -> SimulationConfig:
 
 
 def _validate(cfg: SimulationConfig) -> None:
-    """Checks on a parsed config; InteractionTable, SvmSettings and
-    CampaignGrid also check their own fields on construction."""
+    """Checks on a parsed config; LinkGeometry, InteractionTable, SvmSettings
+    and CampaignGrid also check their own fields on construction."""
     if cfg.channel.n_subbands < 1:
         raise ConfigError(f"n_subbands must be >= 1, got {cfg.channel.n_subbands}")
     if not 0.0 <= cfg.channel.bandwidth_hz < math.inf:
@@ -341,7 +345,7 @@ def _validate(cfg: SimulationConfig) -> None:
     if any(n < 1 for n in cfg.campaign.mimo_sizes):
         raise ConfigError(f"mimo sizes must be positive, got {cfg.campaign.mimo_sizes}")
     for cls in cfg.campaign.classes:
-        if cls == "none":
+        if cls == NO_DEBRIS_LABEL:
             continue
         if cls not in cfg.materials:
             raise ConfigError(f"class {cls!r} has no material definition")

@@ -32,7 +32,8 @@ import numpy as np
 
 from .channel import (apply_rician_smallscale, assemble_subband,
                       steering_matrix, subband_grid)
-from .configio import SimulationConfig, CampaignGrid, default_config
+from .configio import (CAMPAIGN_KINDS, NO_DEBRIS_LABEL, CampaignGrid,
+                       SimulationConfig, default_config)
 from .errors import ConfigError, DebrisenseError, EqualizationError, TrainingError
 # transmit and estimate_csi are the per-matrix form of the link that
 # simulate_sample runs on stacks; perfbench's layer tracer patches both names
@@ -43,13 +44,12 @@ from .linksim import (CsiEstimate, CsiMethod, add_noise, csi_error_variance,
                       signal_power, transmit, zf_equalize)
 from .propagation import (Polarization, ScatterGeometry, diffracted_response,
                           los_response, reflected_response, scattered_response)
-from .scene import (DebrisClass, DebrisScene, LinkGeometry, Mechanism,
-                    PathGeometry, SceneConfig, generate_scene, incidence_angle,
-                    path_lengths, perpendicular_clearance)
+from .scene import (DEBRIS_MECHANISMS, DebrisScene, Mechanism, PathGeometry,
+                    SceneConfig, generate_scene, incidence_angle, path_lengths,
+                    perpendicular_clearance)
 from .sensing import (FeatureVector, LabeledDataset, SvmModel, extract_features,
                       svm_train)
 
-NO_DEBRIS_LABEL = "none"
 DEBRIS_LABEL = "debris"
 
 # Stream tags for counter-based seed derivation.
@@ -58,9 +58,6 @@ _STREAM_INTERACT = 12
 _STREAM_FADING = 13
 _STREAM_NOISE = 14
 _STREAM_SPLIT = 15
-
-_TABLE_TAGS = {"density_frequency": 1, "frequency_snr": 2, "mimo_frequency": 3,
-               "trend": 7}
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +70,6 @@ class ConditionSpec:
     table_tag: int
     f_idx: int
     frequency_hz: float
-    snr_idx: int
     snr_db: float
     mimo_idx: int
     n_antennas: int
@@ -125,8 +121,7 @@ def balanced_partition(total: int, classes) -> dict:
     return {cls: base + (1 if i < extra else 0) for i, cls in enumerate(classes)}
 
 
-def _cond_id(grid_kind, f, snr, mimo, density, labels) -> str:
-    tag = _TABLE_TAGS[grid_kind]
+def _cond_id(tag, f, snr, mimo, density, labels) -> str:
     label_part = labels[0] if len(labels) == 1 else "all"
     return (f"t{tag}-f{f:g}-snr{snr:g}-m{mimo}-rho{density:g}-{label_part}")
 
@@ -134,19 +129,19 @@ def _cond_id(grid_kind, f, snr, mimo, density, labels) -> str:
 def enumerate_conditions(cfg: SimulationConfig):
     """Expand the campaign grid into conditions plus evaluation groups."""
     grid = cfg.campaign
-    tag = _TABLE_TAGS[grid.kind]
+    tag = CAMPAIGN_KINDS[grid.kind]
     debris_classes = tuple(c for c in grid.classes if c != NO_DEBRIS_LABEL)
     conditions: list[ConditionSpec] = []
     groups: list[EvaluationGroup] = []
 
-    def add(f_idx, snr_idx, mimo_idx, density_idx, labels, density):
-        cid = _cond_id(grid.kind, grid.frequencies_hz[f_idx],
-                       grid.snr_values_db[snr_idx], grid.mimo_sizes[mimo_idx],
+    def add(f_idx, s_idx, mimo_idx, density_idx, labels, density):
+        cid = _cond_id(tag, grid.frequencies_hz[f_idx],
+                       grid.snr_values_db[s_idx], grid.mimo_sizes[mimo_idx],
                        density, labels)
         conditions.append(ConditionSpec(
             condition_id=cid, table_tag=tag,
             f_idx=f_idx, frequency_hz=grid.frequencies_hz[f_idx],
-            snr_idx=snr_idx, snr_db=grid.snr_values_db[snr_idx],
+            snr_db=grid.snr_values_db[s_idx],
             mimo_idx=mimo_idx, n_antennas=grid.mimo_sizes[mimo_idx],
             density_idx=density_idx, density_per_km3=density,
             labels=labels, samples=grid.samples_per_condition))
@@ -169,9 +164,9 @@ def enumerate_conditions(cfg: SimulationConfig):
                     axis_value=density))
     else:
         if grid.kind == "frequency_snr" or grid.kind == "trend":
-            axes = [(f_idx, snr_idx, 0, 0)
+            axes = [(f_idx, s_idx, 0, 0)
                     for f_idx in range(len(grid.frequencies_hz))
-                    for snr_idx in range(len(grid.snr_values_db))]
+                    for s_idx in range(len(grid.snr_values_db))]
             if grid.kind == "trend":
                 # density comparison leg at the lowest frequency, highest SNR
                 axes += [(0, len(grid.snr_values_db) - 1, 0, d_idx)
@@ -180,15 +175,15 @@ def enumerate_conditions(cfg: SimulationConfig):
             axes = [(f_idx, 0, m_idx, 0)
                     for f_idx in range(len(grid.frequencies_hz))
                     for m_idx in range(len(grid.mimo_sizes))]
-        for f_idx, snr_idx, mimo_idx, d_idx in axes:
+        for f_idx, s_idx, mimo_idx, d_idx in axes:
             density = grid.densities_per_km3[d_idx]
-            cid = add(f_idx, snr_idx, mimo_idx, d_idx, grid.classes, density)
+            cid = add(f_idx, s_idx, mimo_idx, d_idx, grid.classes, density)
             if grid.kind == "mimo_frequency":
                 axis = float(grid.mimo_sizes[mimo_idx])
             elif d_idx > 0:
                 axis = density
             else:
-                axis = grid.snr_values_db[snr_idx]
+                axis = grid.snr_values_db[s_idx]
             groups.append(EvaluationGroup(
                 group_id=f"g-{cid}", condition_ids=(cid,),
                 frequency_hz=grid.frequencies_hz[f_idx], axis_value=axis))
@@ -273,13 +268,12 @@ def draw_interactions(scene: DebrisScene, f_hz: float, table,
     monotone in frequency.  Scatter azimuths are drawn for every object up
     front for the same reason.
     """
-    n = len(scene.objects)
-    mechanisms = (Mechanism.REFLECTION, Mechanism.SCATTERING, Mechanism.DIFFRACTION)
-    draws = rng.random((n, len(mechanisms))) if n else np.zeros((0, 3))
+    n, k = len(scene.objects), len(DEBRIS_MECHANISMS)
+    draws = rng.random((n, k)) if n else np.zeros((0, k))
     azimuths = rng.uniform(0.0, 2.0 * math.pi, size=n) if n else np.zeros(0)
     out = []
     for i, obj in enumerate(scene.objects):
-        for m_idx, mech in enumerate(mechanisms):
+        for m_idx, mech in enumerate(DEBRIS_MECHANISMS):
             p = table.probability(obj.debris_class, mech, f_hz)
             if draws[i, m_idx] < p:
                 out.append(Interaction(object_index=i, mechanism=mech,
@@ -374,7 +368,7 @@ def build_paths(scene: DebrisScene, interactions, grid, cfg: SimulationConfig,
         gains=tuple(los_response(f, scene.geometry.distance_m) for f in freqs))]
     for inter in interactions:
         obj = scene.objects[inter.object_index]
-        material = cfg.materials[obj.debris_class.value]
+        material = cfg.materials[obj.debris_class]
         error_flag = f"path_error:{inter.mechanism.value}"
         try:
             geom = interaction_geometry(scene, inter.object_index,
@@ -455,17 +449,12 @@ def draw_sample(cond: ConditionSpec, label: str, sample_idx: int,
     noise_rng = _rng(master_seed, _STREAM_NOISE, cond.table_tag, cond.f_idx,
                      cond.density_idx, label_idx, sample_idx, cond.mimo_idx)
 
-    geometry = LinkGeometry(distance_km=cfg.link.distance_km,
-                            velocity_km_s=cfg.link.velocity_km_s)
-    if label == NO_DEBRIS_LABEL:
-        scene_cfg = SceneConfig(geometry=geometry, density_per_km3=0.0,
-                                semi_axes_km=cfg.scene.semi_axes(geometry.distance_km))
-    else:
-        scene_cfg = SceneConfig(geometry=geometry,
-                                density_per_km3=cond.density_per_km3,
-                                debris_class=DebrisClass(label),
-                                semi_axes_km=cfg.scene.semi_axes(geometry.distance_km),
-                                debris_size_m=cfg.scene.debris_size_m)
+    debris = label != NO_DEBRIS_LABEL
+    scene_cfg = SceneConfig(geometry=cfg.link,
+                            density_per_km3=cond.density_per_km3 if debris else 0.0,
+                            semi_axes_km=cfg.scene.semi_axes(cfg.link.distance_km),
+                            debris_class=label if debris else None,
+                            debris_size_m=cfg.scene.debris_size_m)
     scene = generate_scene(scene_cfg, seed=int(scene_rng.integers(0, 2 ** 63)))
     interactions = draw_interactions(scene, cond.frequency_hz,
                                      cfg.interactions, inter_rng)
@@ -476,7 +465,7 @@ def draw_sample(cond: ConditionSpec, label: str, sample_idx: int,
     # stacks are drawn
     channel = _subband_channels(
         build_paths(scene, interactions, grid, cfg, flags, cond.n_antennas),
-        grid, cond.n_antennas, geometry.velocity_m_s,
+        grid, cond.n_antennas, cfg.link.velocity_m_s,
         functools.partial(cfg.channel.k_factor, label, cond.frequency_hz),
         fading_rng)
     lengths = balanced_partition(cfg.linksim.frame_symbols,
@@ -585,7 +574,7 @@ def simulate_sample(cond: ConditionSpec, draw: SampleDraw,
 
 
 def _snr_free(cond: ConditionSpec) -> ConditionSpec:
-    return replace(cond, condition_id="", snr_idx=0, snr_db=0.0)
+    return replace(cond, condition_id="", snr_db=0.0)
 
 
 def snr_families(conditions) -> list[tuple[ConditionSpec, ...]]:
@@ -722,8 +711,10 @@ def evaluate_condition(records, split_seed: int,
 # Campaign driver and result files
 # ---------------------------------------------------------------------------
 
-SAMPLE_CSV_HEADER = ("condition_id,sample_idx,label,ber,f_mean,f_var,f_max,"
-                     "f_min,f_skew,det_value,pred_label,flags")
+# the FeatureVector fields in order, as sample-CSV columns
+FEATURE_COLUMNS = ("f_mean", "f_var", "f_max", "f_min", "f_skew")
+SAMPLE_CSV_HEADER = ",".join(("condition_id", "sample_idx", "label", "ber",
+                              *FEATURE_COLUMNS, "det_value", "pred_label", "flags"))
 METRICS_CSV_HEADER = ("condition_id,frequency_hz,mimo,snr_db,density,"
                       "mean_ber,ber_ci95,det_acc,cls_acc")
 

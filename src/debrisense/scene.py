@@ -22,7 +22,9 @@ from .errors import ConfigError, GeometryError
 GEOMETRY_EPS = 1e-9
 
 
-class DebrisClass(enum.Enum):
+class DebrisClass:
+    """The shipped debris classes; any material's name is a debris class."""
+
     SMOOTH_GLASS = "smooth_glass"
     ROUGH_METAL = "rough_metal"
 
@@ -32,6 +34,11 @@ class Mechanism(enum.Enum):
     REFLECTION = "reflection"
     SCATTERING = "scattering"
     DIFFRACTION = "diffraction"
+
+
+# in the column order of draw_interactions' uniform draws
+DEBRIS_MECHANISMS = (Mechanism.REFLECTION, Mechanism.SCATTERING,
+                     Mechanism.DIFFRACTION)
 
 
 @dataclass(frozen=True)
@@ -61,7 +68,7 @@ class DebrisObject:
     """One piece of debris, positioned relative to the transmitter (km)."""
 
     position_km: tuple[float, float, float]
-    debris_class: DebrisClass
+    debris_class: str
     characteristic_size_m: float
 
     def __post_init__(self):
@@ -78,8 +85,8 @@ class SceneConfig:
 
     geometry: LinkGeometry
     density_per_km3: float
-    debris_class: DebrisClass | None = None
-    semi_axes_km: tuple[float, float, float] | None = None  # None: (d/2, 50, 50)
+    semi_axes_km: tuple[float, float, float]
+    debris_class: str | None = None
     debris_size_m: float = 0.5
 
     def __post_init__(self):
@@ -87,13 +94,8 @@ class SceneConfig:
             raise ConfigError(f"debris density must be >= 0, got {self.density_per_km3}")
         if self.density_per_km3 > 0 and self.debris_class is None:
             raise ConfigError("debris_class required when density > 0")
-        if self.semi_axes_km is not None and any(a <= 0 for a in self.semi_axes_km):
+        if any(a <= 0 for a in self.semi_axes_km):
             raise ConfigError("ellipsoid semi-axes must be > 0")
-
-    def resolved_semi_axes(self) -> tuple[float, float, float]:
-        if self.semi_axes_km is not None:
-            return self.semi_axes_km
-        return (self.geometry.distance_km / 2.0, 50.0, 50.0)
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,7 @@ def generate_scene(config: SceneConfig, seed: int) -> DebrisScene:
     exactly.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    semi = config.resolved_semi_axes()
+    semi = config.semi_axes_km
     volume = ellipsoid_volume_km3(semi)
     count = int(rng.poisson(config.density_per_km3 * volume)) if config.density_per_km3 > 0 else 0
 
@@ -277,7 +279,7 @@ def scene_to_text(scene: DebrisScene) -> str:
     ]
     for obj in scene.objects:
         x, y, z = obj.position_km
-        lines.append(f"{x!r},{y!r},{z!r},{obj.debris_class.value},"
+        lines.append(f"{x!r},{y!r},{z!r},{obj.debris_class},"
                      f"{obj.characteristic_size_m!r}")
     return "\n".join(lines) + "\n"
 

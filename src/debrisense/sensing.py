@@ -20,9 +20,6 @@ from .svm import (BinarySvm, KernelSpec, MultiClassSvm, _binary_from_dict,
                   train_multiclass, FORMAT_VERSION, DEFAULT_TOL)
 
 
-FEATURE_NAMES = ("mean", "variance", "maximum", "minimum", "skewness")
-
-
 @dataclass(frozen=True)
 class FeatureVector:
     """The five pooled statistics of the CSI magnitude."""

@@ -113,6 +113,63 @@ def test_bad_array_or_subband_setting_exits_2(tmp_path, capsys, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("classes,problem", [
+    ("smooth_glass, rough_metal", "must include 'none'"),
+    ("none", "at least one debris class"),
+    ("none, smooth_glass, smooth_glass", "repeat"),
+], ids=["no_none", "none_only", "repeated"])
+def test_bad_class_list_exits_2(tmp_path, capsys, classes, problem):
+    cfg_path = tmp_path / "bad.ini"
+    cfg_path.write_text(CUSTOM_CONFIG.replace(
+        "classes = none, smooth_glass, rough_metal", f"classes = {classes}"),
+        encoding="utf-8")
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and problem in err
+    assert not out.exists()
+
+
+PLASTIC_MATERIAL = """
+[plastic]
+n = 20e9:1.5, 6e12:1.5
+alpha_per_m = 20e9:50.0, 6e12:50.0
+roughness_sigma_m = 20e-6
+correlation_length_m = 500e-6
+facet_lx_m = 0.15
+facet_ly_m = 0.15
+"""
+
+PLASTIC_ROWS = """k_factor_db_plastic = 9, 10, 12, 12
+
+[interactions]
+plastic_reflection = 0.05, 0.10, 0.40, 0.60
+plastic_scattering = 0.30, 0.40, 0.70, 0.90
+plastic_diffraction = 0.15, 0.18, 0.45, 0.60
+
+[materials]
+file = mats.ini
+"""
+
+
+def test_config_defined_debris_class_runs(tmp_path):
+    # a third material with its K-factor and interaction rows is a class
+    (tmp_path / "mats.ini").write_text(DEFAULT_MATERIALS_TEXT + PLASTIC_MATERIAL,
+                                       encoding="utf-8")
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(CUSTOM_CONFIG.replace("rough_metal", "rough_metal, plastic")
+                        .replace("samples_per_condition = 12",
+                                 "samples_per_condition = 16")
+                        + PLASTIC_ROWS, encoding="utf-8")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg_path), "--seed", "2",
+                 "--out", str(out)]) == 0
+    rows = next(out.glob("samples_*.csv")).read_text().splitlines()[1:]
+    labels = [row.split(",")[2] for row in rows]
+    assert labels.count("plastic") == 4
+    assert set(labels) == {"none", "smooth_glass", "rough_metal", "plastic"}
+
+
 @pytest.mark.parametrize("setting", [("[rough_metal]", "[rough_metal]\nfacet_lz_m = 9"),
                                      ("[smooth", "[DEFAULT]\nfacet_ly_m = 0.15\n[smooth"),
                                      ("roughness_sigma_m = 5e-6",

@@ -139,6 +139,14 @@ class TestValidation:
         "[linksim]\ncsi_method = perfect\n",
         # a bare % is an interpolation error inside configparser
         "[link]\ndistance_km = 5%\n",
+        # the link is checked when parsed, not at the first sample
+        "[link]\ndistance_km = 0\n",
+        "[link]\ndistance_km = nan\n",
+        "[link]\nvelocity_km_s = -1\n",
+        # a class list needs the no-debris label, a debris class and no repeats
+        "[campaign]\nclasses = smooth_glass, rough_metal\n",
+        "[campaign]\nclasses = none\n",
+        "[campaign]\nclasses = none, smooth_glass, smooth_glass\n",
     ])
     def test_bad_values_rejected(self, text):
         with pytest.raises(ConfigError):

@@ -16,7 +16,8 @@ from debrisense.scene import (DebrisClass, LinkGeometry, SceneConfig,
                               scene_to_text)
 
 
-def make_config(density, debris_class=DebrisClass.SMOOTH_GLASS, semi=None):
+def make_config(density, debris_class=DebrisClass.SMOOTH_GLASS,
+                semi=(250.0, 50.0, 50.0)):
     geom = LinkGeometry(distance_km=500.0, velocity_km_s=7.0)
     return SceneConfig(geometry=geom, density_per_km3=density,
                        debris_class=debris_class if density > 0 else None,
