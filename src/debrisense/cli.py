@@ -17,12 +17,12 @@ import sys
 
 import numpy as np
 
-from .configio import NO_DEBRIS_LABEL, SvmSettings, load_config, reference_text
+from .configio import SvmSettings, load_config, reference_text
 from .errors import ConfigError, DebrisenseError
-from .experiments import (DEBRIS_LABEL, FEATURE_COLUMNS, detection_labels,
-                          reproduce_table, run_campaign, write_campaign_outputs)
-from .sensing import (FeatureVector, LabeledDataset, load_model, save_model,
-                      svm_train)
+from .experiments import (DEBRIS_LABEL, DETECTION_CLASSES, FEATURE_COLUMNS,
+                          detection_labels, reproduce_table, run_campaign,
+                          write_campaign_outputs)
+from .sensing import LabeledDataset, load_model, save_model, svm_train
 from .svm import KERNEL_KINDS
 
 
@@ -70,12 +70,11 @@ def _cmd_train(args) -> int:
     features, labels = _read_samples_csv(args.data)
     if args.binary:
         labels = detection_labels(labels)
-        classes = (NO_DEBRIS_LABEL, DEBRIS_LABEL)
+        classes = DETECTION_CLASSES
     else:
         classes = tuple(sorted(set(labels)))
-    # two classes: the later one in ``classes`` (debris, for --binary) is positive
     dataset = LabeledDataset(features=features, labels=labels, classes=classes)
-    model = svm_train(dataset, kernel=svm.kernel, c=svm.c, gamma=svm.gamma)
+    model = svm_train(dataset, svm)
     save_model(model, args.model)
     print(f"trained {model.kind} model on {len(labels)} rows -> {args.model}")
     return 0
@@ -84,13 +83,12 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     features, labels = _read_samples_csv(args.data)
     model = load_model(args.model)
-    if model.kind == "binary" and model.positive_class == DEBRIS_LABEL:
+    if model.classes[-1] == DEBRIS_LABEL:
         labels = detection_labels(labels)
     hits = 0
     confusion: dict = {}
     for row, truth in zip(features, labels):
-        fv = FeatureVector(*row)
-        pred = model.predict(fv)
+        pred = model.predict(row)
         hits += int(pred == truth)
         confusion.setdefault(truth, {}).setdefault(pred, 0)
         confusion[truth][pred] += 1
@@ -132,9 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train an SVM from a samples CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--kernel", choices=KERNEL_KINDS, default="rbf")
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--kernel", choices=KERNEL_KINDS, default=SvmSettings.kernel)
+    p.add_argument("--c", type=float, default=SvmSettings.c)
+    p.add_argument("--gamma", type=float, default=SvmSettings.gamma)
     p.add_argument("--binary", action="store_true",
                    help="collapse debris classes into one detection label")
     p.set_defaults(func=_cmd_train)

@@ -23,8 +23,8 @@ from .errors import ConfigError
 from .linksim import CsiMethod
 from .materials import default_materials, load_materials
 from .propagation import Polarization
-from .scene import DEBRIS_MECHANISMS, LinkGeometry, Mechanism
-from .svm import KERNEL_KINDS
+from .scene import DEBRIS_MECHANISMS, MIN_DEBRIS_SIZE_M, LinkGeometry, Mechanism
+from .svm import DEFAULT_TOL, KERNEL_KINDS
 
 # The class label of a sample without debris; every other label names a material.
 NO_DEBRIS_LABEL = "none"
@@ -54,6 +54,14 @@ class SceneSettings:
     # Major semi-axis defaults to distance/2; minors keep debris near the link.
     minor_semi_axes_km: tuple[float, float] = (50.0, 50.0)
     debris_size_m: float = 0.5
+
+    def __post_init__(self):
+        if not all(0.0 < a < math.inf for a in self.minor_semi_axes_km):
+            raise ConfigError(f"minor_semi_axes_km must be finite and > 0, "
+                              f"got {self.minor_semi_axes_km}")
+        if not MIN_DEBRIS_SIZE_M <= self.debris_size_m < math.inf:
+            raise ConfigError(f"debris_size_m must be finite and >= "
+                              f"{MIN_DEBRIS_SIZE_M}, got {self.debris_size_m}")
 
     def semi_axes(self, distance_km: float) -> tuple[float, float, float]:
         return (distance_km / 2.0, *self.minor_semi_axes_km)
@@ -129,7 +137,7 @@ class SvmSettings:
 
     kernel: str = "rbf"
     c: float = 1.0
-    tol: float = 1e-3
+    tol: float = DEFAULT_TOL
     gamma: float | None = None     # None: 1/(n_features * var)
     train_fraction: float = 0.7
 
@@ -137,6 +145,9 @@ class SvmSettings:
         _check_choice("kernel", self.kernel, KERNEL_KINDS)
         if not 0.0 < self.c < math.inf:
             raise ConfigError(f"svm c must be finite and > 0, got {self.c}")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigError(f"svm tolerance must be finite and > 0, "
+                              f"got {self.tol}")
         if self.gamma is not None and not 0.0 < self.gamma < math.inf:
             raise ConfigError(f"svm gamma must be auto or finite and > 0, "
                               f"got {self.gamma}")
@@ -357,6 +368,10 @@ def _validate(cfg: SimulationConfig) -> None:
         for mech in MECHANISM_KEYS:
             if (cls, mech) not in cfg.interactions.probabilities:
                 raise ConfigError(f"class {cls!r} missing interaction row {mech}")
+        # a sample reads both tables at its carrier; these raise outside them
+        for f_hz in cfg.campaign.frequencies_hz:
+            cfg.interactions.probability(cls, DEBRIS_MECHANISMS[0], f_hz)
+            cfg.channel.k_factor(cls, f_hz)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,9 @@ from .sensing import (FeatureVector, LabeledDataset, SvmModel, extract_features,
                       svm_train)
 
 DEBRIS_LABEL = "debris"
+# The detection task's classes; a two-class model is positive for its later
+# class, so this order makes debris the positive (decision >= 0) class.
+DETECTION_CLASSES = (NO_DEBRIS_LABEL, DEBRIS_LABEL)
 
 # Stream tags for counter-based seed derivation.
 _STREAM_SCENE = 11
@@ -651,14 +654,11 @@ def evaluate_condition(records, split_seed: int,
     train_idx, test_idx = stratified_split(labels, cfg.svm.train_fraction, rng)
 
     binary = detection_labels(labels)
-    if len(set(binary[i] for i in train_idx)) < 2:
-        raise TrainingError("detection training split lacks both classes")
     det_model = svm_train(
         LabeledDataset(features=features[train_idx],
                        labels=tuple(binary[i] for i in train_idx),
-                       classes=(NO_DEBRIS_LABEL, DEBRIS_LABEL)),
-        kernel=cfg.svm.kernel, c=cfg.svm.c, tol=cfg.svm.tol,
-        gamma=cfg.svm.gamma, positive_class=DEBRIS_LABEL)
+                       classes=DETECTION_CLASSES),
+        cfg.svm)
 
     debris_classes = tuple(c for c in cfg.campaign.classes if c != NO_DEBRIS_LABEL)
     cls_train = [i for i in train_idx if labels[i] != NO_DEBRIS_LABEL]
@@ -668,9 +668,7 @@ def evaluate_condition(records, split_seed: int,
             LabeledDataset(features=features[cls_train],
                            labels=tuple(labels[i] for i in cls_train),
                            classes=debris_classes),
-            kernel=cfg.svm.kernel, c=cfg.svm.c, tol=cfg.svm.tol,
-            gamma=cfg.svm.gamma,
-            positive_class=debris_classes[-1] if len(debris_classes) == 2 else None)
+            cfg.svm)
 
     # annotate a copy of every record; accuracies use the held-out rows only
     test_set = set(test_idx)
@@ -679,14 +677,14 @@ def evaluate_condition(records, split_seed: int,
     cls_total = 0
     annotated = []
     for i, rec in enumerate(records):
-        fv = rec.features
-        value = det_model.decision_value(fv)
+        row = features[i]
+        value = det_model.decision_value(row)
         detected = value >= 0.0
         pred = NO_DEBRIS_LABEL
         if detected and cls_model is not None:
-            pred = cls_model.predict(fv)
+            pred = cls_model.predict(row)
         elif detected:
-            pred = debris_classes[0] if debris_classes else DEBRIS_LABEL
+            pred = debris_classes[0]
         split = "test" if i in test_set else "train"
         annotated.append(replace(rec, det_value=value, pred_label=pred,
                                  flags=tuple(sorted({*rec.flags, split}))))
@@ -695,7 +693,7 @@ def evaluate_condition(records, split_seed: int,
             det_hits += int(detected == truth_detected)
             if truth_detected and cls_model is not None:
                 cls_total += 1
-                cls_pred = pred if detected else cls_model.predict(fv)
+                cls_pred = pred if detected else cls_model.predict(row)
                 cls_hits += int(cls_pred == rec.label)
 
     return MetricsSummary(

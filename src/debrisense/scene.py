@@ -20,6 +20,8 @@ from .errors import ConfigError, GeometryError
 
 # Relative tolerance for near-degenerate triangle geometry.
 GEOMETRY_EPS = 1e-9
+# Smallest characteristic size of a debris object (1 cm).
+MIN_DEBRIS_SIZE_M = 0.01
 
 
 class DebrisClass:
@@ -72,7 +74,7 @@ class DebrisObject:
     characteristic_size_m: float
 
     def __post_init__(self):
-        if self.characteristic_size_m < 0.01:
+        if self.characteristic_size_m < MIN_DEBRIS_SIZE_M:
             raise ConfigError(
                 f"debris size {self.characteristic_size_m} m below the 1 cm floor")
         if not all(math.isfinite(c) for c in self.position_km):

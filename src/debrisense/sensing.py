@@ -1,4 +1,5 @@
-"""CSI-magnitude features and the models of the two-stage detection pipeline.
+"""CSI-magnitude features, the models of the two-stage detection pipeline
+and their model file.
 
 The sensing chain mirrors the on-board processing flow: estimate CSI,
 reduce it to five magnitude statistics, standardize, run a binary
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .configio import SvmSettings
 from .errors import TrainingError
-from .svm import (BinarySvm, KernelSpec, MultiClassSvm, _binary_from_dict,
-                  _binary_to_dict, resolve_gamma, train_binary,
-                  train_multiclass, FORMAT_VERSION, DEFAULT_TOL)
+from .svm import (BinarySvm, KernelSpec, MultiClassSvm, resolve_gamma,
+                  train_binary, train_multiclass)
 
 
 @dataclass(frozen=True)
@@ -103,12 +104,6 @@ def fit_standardizer(features: np.ndarray) -> StandardizationParams:
     return StandardizationParams(mean=mean, std=std_safe, kept=kept)
 
 
-def apply_standardizer(params: StandardizationParams, fv) -> np.ndarray:
-    """Standardize one FeatureVector (or raw row) to the model's feature space."""
-    row = fv.as_array() if isinstance(fv, FeatureVector) else np.asarray(fv)
-    return params.transform(row.reshape(1, -1))[0]
-
-
 # ---------------------------------------------------------------------------
 # Labeled dataset + trained model container
 # ---------------------------------------------------------------------------
@@ -133,87 +128,94 @@ class LabeledDataset:
 
 @dataclass
 class SvmModel:
-    """A trained kernel machine bundled with its feature scaler."""
+    """A trained kernel machine bundled with its feature scaler.
+
+    A two-class model holds one binary machine, positive (decision >= 0)
+    for its later class; three or more classes vote one-vs-one.  The
+    kernel, C and tolerance live on the machines.
+    """
 
     kind: str  # "binary" | "multiclass"
-    kernel: KernelSpec
-    c: float
-    tol: float
     classes: tuple[str, ...]
     scaler: StandardizationParams
     binary: BinarySvm | None = None
-    positive_class: str | None = None  # binary only: label of decision >= 0
     multi: MultiClassSvm | None = None
 
-    def decision_value(self, fv) -> float:
+    def decision_value(self, row) -> float:
+        """The binary machine's decision on one raw feature row."""
         if self.kind != "binary":
             raise ValueError("decision_value applies to binary models")
-        z = apply_standardizer(self.scaler, fv)
-        return float(self.binary.decision(z.reshape(1, -1))[0])
+        return float(self.binary.decision(self.scaler.transform(row))[0])
 
-    def predict(self, fv) -> str:
-        z = apply_standardizer(self.scaler, fv).reshape(1, -1)
+    def predict(self, row) -> str:
+        """The class of one raw feature row."""
+        z = self.scaler.transform(row)
         if self.kind == "binary":
-            d = float(self.binary.decision(z)[0])
-            negative = [c for c in self.classes if c != self.positive_class][0]
-            return self.positive_class if d >= 0.0 else negative
+            return self.classes[int(self.binary.decision(z)[0] >= 0.0)]
         return self.multi.predict(z)[0]
 
 
-def svm_train(dataset: LabeledDataset, kernel: str = "rbf", c: float = 1.0,
-              tol: float = DEFAULT_TOL, gamma: float | None = None,
-              positive_class: str | None = None) -> SvmModel:
+def svm_train(dataset: LabeledDataset, settings: SvmSettings = SvmSettings()) -> SvmModel:
     """Standardize the training features and fit the kernel machine(s).
 
-    Two classes yield a single binary machine (``positive_class`` picks
-    the label mapped to decision >= 0; defaults to the later class in the
-    fixed order).  Three or more classes train one-vs-one.
+    Two present classes yield a single binary machine, positive for the
+    later one in ``dataset.classes`` order; three or more train one-vs-one.
     """
     present = [cls for cls in dataset.classes if cls in set(dataset.labels)]
     if len(present) < 2:
         raise TrainingError(f"need >= 2 classes to train, got {present}")
     scaler = fit_standardizer(dataset.features)
     z = scaler.transform(dataset.features)
-    spec = KernelSpec(kind=kernel, gamma=resolve_gamma(kernel, gamma, z))
+    spec = KernelSpec(kind=settings.kernel,
+                      gamma=resolve_gamma(settings.kernel, settings.gamma, z))
     if len(present) == 2:
-        if positive_class is None:
-            positive_class = present[1]
-        if positive_class not in present:
-            raise TrainingError(f"positive class {positive_class!r} absent")
-        y = np.where(np.asarray(dataset.labels) == positive_class, 1.0, -1.0)
-        machine = train_binary(z, y, spec, c, tol)
-        return SvmModel(kind="binary", kernel=spec, c=c, tol=tol,
-                        classes=tuple(present), scaler=scaler, binary=machine,
-                        positive_class=positive_class)
-    multi = train_multiclass(z, dataset.labels, present, spec, c, tol)
-    return SvmModel(kind="multiclass", kernel=spec, c=c, tol=tol,
-                    classes=tuple(present), scaler=scaler, multi=multi)
+        y = np.where(np.asarray(dataset.labels) == present[1], 1.0, -1.0)
+        machine = train_binary(z, y, spec, settings.c, settings.tol)
+        return SvmModel(kind="binary", classes=tuple(present), scaler=scaler,
+                        binary=machine)
+    multi = train_multiclass(z, dataset.labels, present, spec, settings.c, settings.tol)
+    return SvmModel(kind="multiclass", classes=tuple(present), scaler=scaler,
+                    multi=multi)
 
 
 # ---------------------------------------------------------------------------
-# Model serialization
+# Model file (versioned JSON text)
 # ---------------------------------------------------------------------------
+
+FORMAT_VERSION = 1
+
+
+def _machine_to_dict(svm: BinarySvm) -> dict:
+    return {
+        "support_x": svm.support_x.tolist(),
+        "support_y": svm.support_y.tolist(),
+        "alpha": svm.alpha.tolist(),
+        "bias": svm.bias,
+    }
+
 
 def model_to_json(model: SvmModel) -> str:
+    """The model as JSON text; the machines share one kernel, C and
+    tolerance, written once at the top level."""
+    shared = (model.binary if model.kind == "binary"
+              else next(iter(model.multi.machines.values())))
     payload = {
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
-        "kernel": {"kind": model.kernel.kind, "gamma": model.kernel.gamma},
-        "c": model.c,
-        "tol": model.tol,
+        "kernel": {"kind": shared.kernel.kind, "gamma": shared.kernel.gamma},
+        "c": shared.c,
+        "tol": shared.tol,
         "classes": list(model.classes),
         "scaler": {"mean": model.scaler.mean.tolist(),
                    "std": model.scaler.std.tolist(),
                    "kept": list(model.scaler.kept)},
     }
     if model.kind == "binary":
-        payload["positive_class"] = model.positive_class
-        payload["machine"] = _binary_to_dict(model.binary)
+        payload["positive_class"] = model.classes[-1]
+        payload["machine"] = _machine_to_dict(model.binary)
     else:
-        payload["machines"] = [
-            {"pair": list(pair), **_binary_to_dict(svm)}
-            for pair, svm in sorted(model.multi.machines.items())
-        ]
+        payload["machines"] = [{"pair": list(pair), **_machine_to_dict(svm)}
+                               for pair, svm in sorted(model.multi.machines.items())]
     return json.dumps(payload, sort_keys=True)
 
 
@@ -225,19 +227,23 @@ def model_from_json(text: str) -> SvmModel:
     scaler = StandardizationParams(mean=np.asarray(d["scaler"]["mean"]),
                                    std=np.asarray(d["scaler"]["std"]),
                                    kept=tuple(d["scaler"]["kept"]))
-    c, tol = d["c"], d["tol"]
     classes = tuple(d["classes"])
+
+    def machine(item: dict) -> BinarySvm:
+        return BinarySvm(kernel=spec, c=d["c"], tol=d["tol"],
+                         support_x=np.asarray(item["support_x"], dtype=float),
+                         support_y=np.asarray(item["support_y"], dtype=float),
+                         alpha=np.asarray(item["alpha"], dtype=float),
+                         bias=float(item["bias"]))
+
     if d["kind"] == "binary":
-        return SvmModel(kind="binary", kernel=spec, c=c, tol=tol, classes=classes,
-                        scaler=scaler,
-                        binary=_binary_from_dict(d["machine"], spec, c, tol),
-                        positive_class=d["positive_class"])
-    machines = {}
-    for item in d["machines"]:
-        pair = tuple(item["pair"])
-        machines[pair] = _binary_from_dict(item, spec, c, tol)
-    return SvmModel(kind="multiclass", kernel=spec, c=c, tol=tol, classes=classes,
-                    scaler=scaler,
+        if d["positive_class"] != classes[-1]:
+            raise ValueError(f"binary model positive for {d['positive_class']!r}, "
+                             f"not for its later class {classes[-1]!r}")
+        return SvmModel(kind="binary", classes=classes, scaler=scaler,
+                        binary=machine(d["machine"]))
+    machines = {tuple(item["pair"]): machine(item) for item in d["machines"]}
+    return SvmModel(kind="multiclass", classes=classes, scaler=scaler,
                     multi=MultiClassSvm(classes=classes, machines=machines))
 
 

@@ -302,26 +302,3 @@ def train_multiclass(x: np.ndarray, labels, classes, kernel: KernelSpec,
             machines[(cls_a, cls_b)] = train_binary(x[mask], y, kernel, c, tol)
     return MultiClassSvm(classes=tuple(classes), machines=machines)
 
-
-# ---------------------------------------------------------------------------
-# Serialization (versioned JSON text)
-# ---------------------------------------------------------------------------
-
-FORMAT_VERSION = 1
-
-
-def _binary_to_dict(svm: BinarySvm) -> dict:
-    return {
-        "support_x": svm.support_x.tolist(),
-        "support_y": svm.support_y.tolist(),
-        "alpha": svm.alpha.tolist(),
-        "bias": svm.bias,
-    }
-
-
-def _binary_from_dict(d: dict, kernel: KernelSpec, c: float, tol: float) -> BinarySvm:
-    return BinarySvm(kernel=kernel, c=c, tol=tol,
-                     support_x=np.asarray(d["support_x"], dtype=float),
-                     support_y=np.asarray(d["support_y"], dtype=float),
-                     alpha=np.asarray(d["alpha"], dtype=float),
-                     bias=float(d["bias"]))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from debrisense import cli
 from debrisense.cli import main
 from debrisense.configio import default_config, parse_config
 from debrisense.materials import DEFAULT_MATERIALS_TEXT
@@ -105,6 +106,26 @@ def test_bad_config_exits_2(tmp_path, capsys):
                               "spacing_zero", "bandwidth_negative",
                               "kernel_unknown", "c_zero"])
 def test_bad_array_or_subband_setting_exits_2(tmp_path, capsys, setting):
+    cfg_path = tmp_path / "bad.ini"
+    cfg_path.write_text(CUSTOM_CONFIG.replace(*setting), encoding="utf-8")
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", [
+    ("[channel]", "[scene]\nminor_semi_axes_km = nan, 50\n[channel]"),
+    ("[channel]", "[scene]\ndebris_size_m = 0\n[channel]"),
+    ("[channel]", "[svm]\ntolerance = nan\n[channel]"),
+    ("frequencies_hz = 30e9", "frequencies_hz = 20e9"),
+], ids=["minor_axis_nan", "size_zero", "tolerance_nan", "frequency_uncovered"])
+def test_bad_setting_exits_2_before_any_sample(tmp_path, capsys, monkeypatch,
+                                               setting):
+    def campaign_started(*args, **kwargs):
+        raise AssertionError("the campaign ran with a bad setting")
+
+    monkeypatch.setattr(cli, "run_campaign", campaign_started)
     cfg_path = tmp_path / "bad.ini"
     cfg_path.write_text(CUSTOM_CONFIG.replace(*setting), encoding="utf-8")
     out = tmp_path / "x"

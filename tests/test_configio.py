@@ -147,9 +147,35 @@ class TestValidation:
         "[campaign]\nclasses = smooth_glass, rough_metal\n",
         "[campaign]\nclasses = none\n",
         "[campaign]\nclasses = none, smooth_glass, smooth_glass\n",
+        # the scene is checked when parsed, not at the first debris sample
+        "[scene]\nminor_semi_axes_km = nan, 50\n",
+        "[scene]\nminor_semi_axes_km = -1, 50\n",
+        "[scene]\nminor_semi_axes_km = 50, 0\n",
+        "[scene]\nminor_semi_axes_km = 50, inf\n",
+        "[scene]\ndebris_size_m = 0\n",
+        "[scene]\ndebris_size_m = 0.005\n",
+        "[scene]\ndebris_size_m = nan\n",
+        "[scene]\ndebris_size_m = inf\n",
+        # a NaN tolerance would let SMO stop without meeting it
+        "[svm]\ntolerance = nan\n",
+        "[svm]\ntolerance = -1\n",
+        "[svm]\ntolerance = 0\n",
+        "[svm]\ntolerance = inf\n",
     ])
     def test_bad_values_rejected(self, text):
         with pytest.raises(ConfigError):
+            parse_config(text)
+
+    @pytest.mark.parametrize("text, table", [
+        ("[campaign]\nfrequencies_hz = 20e9\n", "interaction table"),
+        ("[campaign]\nfrequencies_hz = 30e9, 6e12\n", "interaction table"),
+        ("[channel]\nk_factor_frequencies_hz = 300e9, 5e12\n"
+         "k_factor_db_smooth_glass = 13, 21\n"
+         "k_factor_db_rough_metal = 11, 11\n", "K-factor table"),
+    ])
+    def test_campaign_frequency_outside_a_table_rejected(self, text, table):
+        # both tables are read at every campaign frequency
+        with pytest.raises(ConfigError, match=f"{table} does not cover"):
             parse_config(text)
 
     def test_unknown_key_named_in_error(self):

@@ -334,8 +334,8 @@ class TestEvaluate:
         held_out = [r for r in summary.records
                     if "test" in r.flags and r.label != "none"]
         assert held_out
-        hits = sum(summary.classification_model.predict(r.features) == r.label
-                   for r in held_out)
+        hits = sum(summary.classification_model.predict(r.features.as_array())
+                   == r.label for r in held_out)
         assert summary.cls_acc == hits / len(held_out)
 
     def test_input_records_left_unchanged(self):

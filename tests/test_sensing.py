@@ -1,5 +1,6 @@
 """Feature extraction, standardization and the SVM models."""
 
+import hashlib
 import json
 import math
 
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from debrisense.errors import TrainingError
+from debrisense.experiments import DETECTION_CLASSES, detection_labels
 from debrisense.sensing import (FeatureVector, LabeledDataset,
-                                apply_standardizer, extract_features,
-                                fit_standardizer, load_model, model_from_json,
-                                model_to_json, save_model, svm_train)
+                                StandardizationParams, SvmModel,
+                                extract_features, fit_standardizer, load_model,
+                                model_from_json, model_to_json, save_model,
+                                svm_train)
 from debrisense.svm import BinarySvm, KernelSpec
 
 
@@ -94,7 +97,7 @@ class TestStandardizer:
     def test_training_mean_maps_to_origin(self):
         x = np.random.default_rng(3).normal(size=(30, 5))
         params = fit_standardizer(x)
-        z = apply_standardizer(params, x.mean(axis=0))
+        z = params.transform(x.mean(axis=0))
         assert np.allclose(z, 0.0, atol=1e-10)
 
     def test_single_row_rejected(self):
@@ -117,19 +120,20 @@ def toy_dataset(rng, n_per=25, spread=0.5):
                           classes=("none", "smooth_glass", "rough_metal"))
 
 
+def detection_dataset(ds):
+    """``ds`` relabelled for detection: every debris class becomes debris."""
+    return LabeledDataset(features=ds.features, labels=detection_labels(ds.labels),
+                          classes=DETECTION_CLASSES)
+
+
 class TestSvmTrainAndPredict:
     def test_binary_detection_model(self):
         rng = np.random.default_rng(0)
         ds = toy_dataset(rng)
-        binary = LabeledDataset(
-            features=ds.features,
-            labels=tuple("debris" if l != "none" else "none" for l in ds.labels),
-            classes=("none", "debris"))
-        model = svm_train(binary, positive_class="debris")
-        fv = FeatureVector(*ds.features[30])  # a debris row
-        assert model.predict(fv) == "debris"
-        fv0 = FeatureVector(*ds.features[0])
-        assert model.predict(fv0) == "none"
+        model = svm_train(detection_dataset(ds))
+        assert model.classes == ("none", "debris")
+        assert model.predict(ds.features[30]) == "debris"  # a debris row
+        assert model.predict(ds.features[0]) == "none"
 
     def test_zero_decision_counts_as_debris(self):
         # symmetric two-point machine: decision at the midpoint is exactly 0
@@ -137,12 +141,10 @@ class TestSvmTrainAndPredict:
                             support_x=np.array([[1.0], [-1.0]]),
                             support_y=np.array([1.0, -1.0]),
                             alpha=np.array([0.5, 0.5]), bias=0.0)
-        from debrisense.sensing import StandardizationParams, SvmModel
         scaler = StandardizationParams(mean=np.zeros(1), std=np.ones(1),
                                        kept=(0,))
-        model = SvmModel(kind="binary", kernel=machine.kernel, c=1.0, tol=1e-3,
-                         classes=("none", "debris"), scaler=scaler,
-                         binary=machine, positive_class="debris")
+        model = SvmModel(kind="binary", classes=("none", "debris"),
+                         scaler=scaler, binary=machine)
         assert model.decision_value(np.array([0.0])) == 0.0
         assert model.predict(np.array([0.0])) == "debris"
 
@@ -154,9 +156,10 @@ class TestSvmTrainAndPredict:
             features=ds.features[debris_rows],
             labels=tuple(ds.labels[i] for i in debris_rows),
             classes=("smooth_glass", "rough_metal"))
-        model = svm_train(sub, positive_class="rough_metal")
-        fv = FeatureVector(*ds.features[debris_rows[0]])
-        assert model.predict(fv) == ds.labels[debris_rows[0]]
+        model = svm_train(sub)
+        assert model.kind == "binary"
+        row = ds.features[debris_rows[0]]
+        assert model.predict(row) == ds.labels[debris_rows[0]]
 
     def test_affine_feature_rescaling_is_invisible(self):
         # scaling a raw feature column consistently on train and test data
@@ -169,8 +172,8 @@ class TestSvmTrainAndPredict:
         model_b = svm_train(LabeledDataset(features=scaled, labels=ds.labels,
                                            classes=ds.classes))
         for i in range(0, len(ds.labels), 5):
-            pa = model_a.predict(FeatureVector(*ds.features[i]))
-            pb = model_b.predict(FeatureVector(*scaled[i]))
+            pa = model_a.predict(ds.features[i])
+            pb = model_b.predict(scaled[i])
             assert pa == pb
 
     def test_single_class_dataset_rejected(self):
@@ -190,17 +193,43 @@ class TestSerialization:
         loaded = load_model(path)
         probe = rng.normal(size=(40, 5))
         for row in probe:
-            assert loaded.predict(FeatureVector(*row)) == \
-                model.predict(FeatureVector(*row))
-        binary = svm_train(LabeledDataset(
-            features=ds.features,
-            labels=tuple("debris" if l != "none" else "none" for l in ds.labels),
-            classes=("none", "debris")), positive_class="debris")
+            assert loaded.predict(row) == model.predict(row)
+        binary = svm_train(detection_dataset(ds))
         loaded_b = model_from_json(model_to_json(binary))
         for row in probe:
-            a = binary.decision_value(FeatureVector(*row))
-            b = loaded_b.decision_value(FeatureVector(*row))
+            a = binary.decision_value(row)
+            b = loaded_b.decision_value(row)
             assert b == pytest.approx(a, rel=1e-12, abs=1e-15)
+
+    def test_model_file_bytes_unchanged(self):
+        # SHA-256 of model_to_json for models trained on a fixed toy set; a
+        # change here changes the bytes of every saved model file
+        ds = toy_dataset(np.random.default_rng(11), spread=1.5)
+        rows = [i for i, l in enumerate(ds.labels) if l != "none"]
+        two_debris = LabeledDataset(features=ds.features[rows],
+                                    labels=tuple(ds.labels[i] for i in rows),
+                                    classes=("smooth_glass", "rough_metal"))
+        models = {"detection": svm_train(detection_dataset(ds)),
+                  "one_vs_one": svm_train(ds),
+                  "two_debris": svm_train(two_debris)}
+        digests = {name: hashlib.sha256(model_to_json(m).encode()).hexdigest()
+                   for name, m in models.items()}
+        assert digests == {
+            "detection": "4cc0c357b841813ad441bbcf1804933a"
+                         "77f87c95308281216febc33ea79f44ca",
+            "one_vs_one": "ae998e690bbc46004b70c7cc7164d546"
+                          "daf2d10e891fc9585833a39d1300bd54",
+            "two_debris": "1e58fc4c25d8342271132b1810debd85"
+                          "80567b57d3e4f2b2ed2cbbbff66ff061",
+        }
+
+    def test_binary_file_positive_for_earlier_class_rejected(self):
+        ds = toy_dataset(np.random.default_rng(6))
+        payload = json.loads(model_to_json(svm_train(detection_dataset(ds))))
+        assert payload["positive_class"] == "debris"
+        payload["positive_class"] = "none"
+        with pytest.raises(ValueError, match="later class"):
+            model_from_json(json.dumps(payload))
 
     def test_version_guard(self):
         with pytest.raises(ValueError):
