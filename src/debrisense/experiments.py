@@ -8,19 +8,24 @@ campaign is a pure function of (config, seed), samples stay paired across
 SNR sweeps (same scenes/channels, rescaled noise), and debris-interaction
 draws nest across frequencies (activation probabilities rise with f).
 
-The unit of work is an SNR family: the conditions that differ only in SNR.
-None of the seed streams depends on SNR, so the siblings of a family share
-one draw per sample: scene, interactions, paths, the sub-band channel
-matrices, the payload and unit-noise draws, and the SNR-independent link
-terms (the noiseless received blocks and each sub-band's signal power).
-Each sibling then only scales the noise to its SNR, equalizes and counts
-bit errors, and extracts the features, on stacks of sub-bands rather than
-one matrix at a time.  Within a sample, each path's geometry, angles and
-steering are resolved once; only its gain is evaluated per sub-band.
+A campaign runs in two phases, serially or on a process pool through the
+same mapper.  The unit of work of the first is an SNR family: the
+conditions that differ only in SNR.  None of the seed streams depends on
+SNR, so the siblings of a family share one draw per sample: scene,
+interactions, paths, the sub-band channel matrices, the payload and
+unit-noise draws, and the SNR-independent link terms (the noiseless
+received blocks and each sub-band's signal power).  Each sibling then only
+scales the noise to its SNR, equalizes and counts bit errors, and extracts
+the features, on stacks of sub-bands rather than one matrix at a time.
+Within a sample, each path's geometry, angles and steering are resolved
+once; only its gain is evaluated per sub-band.  The unit of work of the
+second phase is an evaluation group: its machines are trained and scored on
+the pooled records of its conditions.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -501,7 +506,8 @@ def draw_link(sample_idx: int, label: str, flags: tuple[str, ...],
     ``lengths`` gives each sub-band's frame length in symbols.  Per
     sub-band, in order, ``rng`` supplies the payload bits and then one
     block of noise and CSI-error units.  Every array is written in place
-    into its stack.
+    into its stack; each frame stack's gamma H x is one product over its
+    sub-bands, after its draws.
     """
     n_antennas = channel.shape[-1]
     csi_error = np.empty_like(channel)
@@ -520,8 +526,9 @@ def draw_link(sample_idx: int, label: str, flags: tuple[str, ...],
             # drawn as int64, as the stream has always been consumed; stored as int8
             frame.bits[j] = rng.integers(0, 2, size=frame.bits.shape[1])
             fill_complex_normal(rng, (frame.noise[j], csi_error[k]))
-            frame.signal[j] = noiseless_output(
-                channel[k], qpsk_modulate(frame.bits[j]).reshape(frame.noise.shape[1:]))
+        noiseless_output(channel[frame.subbands],
+                         qpsk_modulate(frame.bits).reshape(frame.signal.shape),
+                         out=frame.signal)
     return SampleDraw(sample_idx=sample_idx, label=label, flags=flags,
                       channel=channel, csi_error=csi_error,
                       power=np.array([signal_power(h) for h in channel]),
@@ -722,6 +729,11 @@ def _run_condition_worker(args):
     return run_condition(family, cfg, master_seed)
 
 
+def _evaluate_group_worker(args):
+    records, split_seed, cfg = args
+    return evaluate_condition(records, split_seed, cfg)
+
+
 @dataclass
 class CampaignResult:
     conditions: list
@@ -735,39 +747,50 @@ def run_campaign(cfg: SimulationConfig, master_seed: int,
                  threads: int = 1) -> CampaignResult:
     """Run every condition of the campaign grid and evaluate its groups.
 
-    Each SNR family is one unit of work, for the serial loop and the pool.
+    The campaign runs in two phases through one mapper: a process pool's
+    ``map`` when ``threads > 1``, the builtin ``map`` otherwise.  First each
+    SNR family is one unit of work and is simulated; then each evaluation
+    group is one, and trains and scores its machines on the pooled records
+    of its conditions.  Results are taken in the order the work was given,
+    so the outputs do not depend on ``threads``.
+
+    An error in a pool worker is raised again in the caller, with its type
+    and message, for the first failing unit in that order.  It is pickled on
+    the way, so its attributes, such as ``TrainingError.diagnostics``, arrive
+    as copies; no campaign reads them.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     conditions, groups = enumerate_conditions(cfg)
     families = snr_families(conditions)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_condition_worker,
-                                    [(f, cfg, master_seed) for f in families]))
-    else:
-        results = [run_condition(f, cfg, master_seed) for f in families]
-    by_id: dict[str, list] = {}
-    for recs in results:
-        for rec in recs:
-            by_id.setdefault(rec.condition_id, []).append(rec)
+    with (ProcessPoolExecutor(max_workers=threads) if threads > 1
+          else contextlib.nullcontext()) as pool:
+        mapper = map if pool is None else pool.map
+        by_id: dict[str, list] = {}
+        for recs in mapper(_run_condition_worker,
+                           [(f, cfg, master_seed) for f in families]):
+            for rec in recs:
+                by_id.setdefault(rec.condition_id, []).append(rec)
+        results = mapper(_evaluate_group_worker, [
+            ([rec for cid in group.condition_ids for rec in by_id[cid]],
+             int(np.random.SeedSequence([master_seed, _STREAM_SPLIT, g_idx])
+                 .generate_state(1)[0]),
+             cfg)
+            for g_idx, group in enumerate(groups)])
 
-    # groups read the simulated records; a shared cell keeps the last group's copies
-    annotated = {c.condition_id: by_id[c.condition_id] for c in conditions}
-    summaries = {}
-    acc_by_cond: dict[str, list] = {}
-    for g_idx, group in enumerate(groups):
-        pooled = [rec for cid in group.condition_ids for rec in by_id[cid]]
-        split_seed = int(np.random.SeedSequence(
-            [master_seed, _STREAM_SPLIT, g_idx]).generate_state(1)[0])
-        summary = evaluate_condition(pooled, split_seed, cfg)
-        # the copies live on in ``annotated`` only, and only the last group's
-        summaries[group.group_id] = replace(summary, records=())
-        copies = iter(summary.records)
-        for cid in group.condition_ids:
-            annotated[cid] = [next(copies) for _ in by_id[cid]]
-            acc_by_cond.setdefault(cid, []).append(
-                (summary.det_acc, summary.cls_acc))
+        # groups read the simulated records; a shared cell keeps the last
+        # group's copies
+        annotated = {c.condition_id: by_id[c.condition_id] for c in conditions}
+        summaries = {}
+        acc_by_cond: dict[str, list] = {}
+        for group, summary in zip(groups, results):
+            # the copies live on in ``annotated`` only, and only the last group's
+            summaries[group.group_id] = replace(summary, records=())
+            copies = iter(summary.records)
+            for cid in group.condition_ids:
+                annotated[cid] = [next(copies) for _ in by_id[cid]]
+                acc_by_cond.setdefault(cid, []).append(
+                    (summary.det_acc, summary.cls_acc))
     cond_group_acc = {}
     for cid, pairs in acc_by_cond.items():
         det = float(np.mean([p[0] for p in pairs]))

@@ -36,11 +36,6 @@ class CsiEstimate:
     method: CsiMethod
 
 
-# QPSK constellation indexed by 2*b0 + b1
-_QPSK_POINTS = ((1.0 - 2.0 * np.array([0, 0, 1, 1]))
-                + 1j * (1.0 - 2.0 * np.array([0, 1, 0, 1]))) * _INV_SQRT2
-
-
 def qpsk_modulate(bits: np.ndarray) -> np.ndarray:
     """Gray-mapped unit-energy QPSK: bit pair (b0, b1) -> ((1-2b0)+j(1-2b1))/sqrt(2).
 
@@ -52,8 +47,16 @@ def qpsk_modulate(bits: np.ndarray) -> np.ndarray:
         raise ValueError(f"bit count must be even, got {bits.size}")
     if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must be 0 or 1")
-    pairs = bits.reshape(-1, 2).astype(np.intp, copy=False)
-    return _QPSK_POINTS[2 * pairs[:, 0] + pairs[:, 1]]
+    pairs = bits.reshape(-1, 2)
+    # (b0 + j b1) * (-2/sqrt(2)) + (1 + j)/sqrt(2), built in the output with
+    # no index temporaries; every step is exact, so each symbol is the
+    # formula's value bit for bit
+    symbols = np.empty(len(pairs), dtype=complex)
+    symbols.real = pairs[:, 0]
+    symbols.imag = pairs[:, 1]
+    symbols *= -2.0 * _INV_SQRT2
+    symbols += (1 + 1j) * _INV_SQRT2
+    return symbols
 
 
 def qpsk_demodulate(symbols: np.ndarray) -> np.ndarray:
@@ -104,9 +107,16 @@ def add_noise(signal: np.ndarray, variance, unit: np.ndarray) -> np.ndarray:
     return out
 
 
-def noiseless_output(h: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """The noiseless received block gamma * (H @ x), gamma = 1/sqrt(Nt)."""
-    return (1.0 / math.sqrt(h.shape[-1])) * (h @ frame)
+def noiseless_output(h: np.ndarray, frame: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """The noiseless received block gamma * (H @ x), gamma = 1/sqrt(Nt).
+
+    ``h`` and ``frame`` may carry matching leading stack axes.  The product
+    is scaled in place, in ``out`` if given.
+    """
+    out = np.matmul(h, frame, out=out)
+    out *= 1.0 / math.sqrt(h.shape[-1])
+    return out
 
 
 def transmit(h: np.ndarray, frame: np.ndarray, snr_db: float,

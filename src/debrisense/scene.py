@@ -74,7 +74,7 @@ class DebrisObject:
     characteristic_size_m: float
 
     def __post_init__(self):
-        if self.characteristic_size_m < MIN_DEBRIS_SIZE_M:
+        if not (self.characteristic_size_m >= MIN_DEBRIS_SIZE_M):
             raise ConfigError(
                 f"debris size {self.characteristic_size_m} m below the 1 cm floor")
         if not all(math.isfinite(c) for c in self.position_km):
@@ -96,7 +96,7 @@ class SceneConfig:
             raise ConfigError(f"debris density must be >= 0, got {self.density_per_km3}")
         if self.density_per_km3 > 0 and self.debris_class is None:
             raise ConfigError("debris_class required when density > 0")
-        if any(a <= 0 for a in self.semi_axes_km):
+        if not all(a > 0 for a in self.semi_axes_km):
             raise ConfigError("ellipsoid semi-axes must be > 0")
 
 

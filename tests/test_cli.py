@@ -238,6 +238,23 @@ def test_bad_reproduce_counts_exit_2(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_degenerate_split_exits_3_at_any_thread_count(tmp_path, capsys, threads):
+    # a campaign of table 1's kind whose 0.95 split of 6 rows per class
+    # leaves no held-out row: the evaluation fails after simulation, in a
+    # pool worker when threads > 1
+    cfg_path = tmp_path / "campaign.ini"
+    cfg_path.write_text(CUSTOM_CONFIG.replace(
+        "kind = frequency_snr", "kind = density_frequency").replace(
+        "samples_per_condition = 12", "samples_per_condition = 6")
+        + "\n[svm]\ntrain_fraction = 0.95\n", encoding="utf-8")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                 "--threads", threads]) == 3
+    assert "degenerate split for class 'none'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_data_file_exits_3(tmp_path, capsys):
     assert main(["evaluate", "--data", str(tmp_path / "nope.csv"),
                  "--model", str(tmp_path / "nope.json")]) == 3

@@ -450,6 +450,16 @@ class TestCampaignOutputs:
                 assert ("train" in rec.flags) != ("test" in rec.flags)
 
     @pytest.mark.parametrize("threads", [1, 2])
+    def test_evaluation_error_names_its_class_at_any_thread_count(self, threads):
+        # at 6 rows per class a 0.95 split leaves no held-out row; the error
+        # raised while evaluating a group in a pool worker keeps its message
+        cfg = table_config(1, samples=6)
+        cfg = replace(cfg, svm=replace(cfg.svm, train_fraction=0.95))
+        with pytest.raises(TrainingError,
+                           match="degenerate split for class 'none'"):
+            run_campaign(cfg, master_seed=1, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_shared_no_debris_cell_carries_last_density_group(self, threads):
         # each frequency's no-debris cell is pooled by all three density
         # groups; its rows carry what a standalone evaluation of the last

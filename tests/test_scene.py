@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from debrisense.constants import SPEED_OF_LIGHT
 from debrisense.errors import ConfigError, GeometryError
-from debrisense.scene import (DebrisClass, LinkGeometry, SceneConfig,
-                              diffraction_excess_path, ellipsoid_volume_km3,
-                              excess_delay, generate_scene, incidence_angle,
-                              path_lengths, perpendicular_clearance,
-                              scene_to_text)
+from debrisense.scene import (DebrisClass, DebrisObject, LinkGeometry,
+                              SceneConfig, diffraction_excess_path,
+                              ellipsoid_volume_km3, excess_delay,
+                              generate_scene, incidence_angle, path_lengths,
+                              perpendicular_clearance, scene_to_text)
 
 
 def make_config(density, debris_class=DebrisClass.SMOOTH_GLASS,
@@ -63,6 +63,14 @@ class TestGenerateScene:
     def test_nan_density_rejected(self):
         with pytest.raises(ConfigError):
             make_config(float("nan"))
+
+    def test_nan_semi_axis_rejected(self):
+        with pytest.raises(ConfigError, match="semi-axes"):
+            make_config(1e-6, semi=(250.0, float("nan"), 50.0))
+
+    def test_nan_debris_size_rejected(self):
+        with pytest.raises(ConfigError, match="1 cm floor"):
+            DebrisObject((0.0, 0.0, 0.0), "rough_metal", float("nan"))
 
 
 class TestPathLengths:
