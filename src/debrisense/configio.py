@@ -19,7 +19,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .channel import subband_grid
+from .errors import ConfigError, MaterialError
 from .linksim import CsiMethod
 from .materials import default_materials, load_materials
 from .propagation import Polarization
@@ -355,6 +356,14 @@ def _validate(cfg: SimulationConfig) -> None:
         raise ConfigError("k_factor_frequencies_hz must be sorted and non-empty")
     if any(n < 1 for n in cfg.campaign.mimo_sizes):
         raise ConfigError(f"mimo sizes must be positive, got {cfg.campaign.mimo_sizes}")
+    # a sample evaluates its paths at each sub-band centre of its carrier
+    centres = [float(f) for carrier in cfg.campaign.frequencies_hz
+               for f in subband_grid(carrier, cfg.channel.n_subbands,
+                                     cfg.channel.bandwidth_hz)]
+    if not min(centres) > 0.0:
+        raise ConfigError(f"sub-band centres must be > 0 Hz, got {min(centres):.4g} Hz "
+                          f"(bandwidth_hz = {cfg.channel.bandwidth_hz:g} is too wide "
+                          "for the lowest carrier)")
     for cls in cfg.campaign.classes:
         if cls == NO_DEBRIS_LABEL:
             continue
@@ -372,6 +381,14 @@ def _validate(cfg: SimulationConfig) -> None:
         for f_hz in cfg.campaign.frequencies_hz:
             cfg.interactions.probability(cls, DEBRIS_MECHANISMS[0], f_hz)
             cfg.channel.k_factor(cls, f_hz)
+        material = cfg.materials[cls]
+        for f_hz in centres:
+            try:
+                material.refractive_index(f_hz)
+                material.absorption(f_hz)
+                material.check_facets(f_hz)
+            except MaterialError as exc:
+                raise ConfigError(f"sub-band centre {f_hz:.4g} Hz: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,10 @@ the features, on stacks of sub-bands rather than one matrix at a time.
 Within a sample, each path's geometry, angles and steering are resolved
 once; only its gain is evaluated per sub-band.  The unit of work of the
 second phase is an evaluation group: its machines are trained and scored on
-the pooled records of its conditions.
+the pooled records of its conditions, and it returns its accuracies and one
+annotation per pooled row (decision value, predicted label, split).  The
+records stay as simulated; the result writer resolves the annotations and
+accuracies onto conditions.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,9 +107,14 @@ class SampleRecord:
     label: str
     ber: float
     features: FeatureVector
-    det_value: float | None = None
-    pred_label: str | None = None
-    flags: tuple[str, ...] = ()
+    flags: tuple[str, ...] = ()  # what happened while simulating the sample
+
+
+class RowAnnotation(NamedTuple):
+    """What evaluating a group says about one of its pooled rows."""
+    det_value: float
+    pred_label: str
+    split: str  # "train" or "test"
 
 
 @dataclass(frozen=True)
@@ -115,7 +124,7 @@ class MetricsSummary:
     cls_acc: float
     detection_model: SvmModel
     classification_model: SvmModel | None
-    records: tuple[SampleRecord, ...]  # the input, annotated
+    annotations: tuple[RowAnnotation, ...]  # one per pooled row, in its order
 
 
 def detection_labels(labels) -> tuple[str, ...]:
@@ -649,8 +658,8 @@ def evaluate_condition(records, split_seed: int,
     Detection is trained on a binary relabelling (no-debris vs any debris)
     of every record; classification on debris rows only.  Both accuracies
     are computed exclusively on held-out rows.  The input records are left
-    unchanged; the summary carries copies annotated with decision values,
-    predicted labels and split membership.
+    unchanged; the summary annotates each of them, in order, with its
+    decision value, predicted label and split.
     """
     records = list(records)
     if not records:
@@ -677,12 +686,12 @@ def evaluate_condition(records, split_seed: int,
                            classes=debris_classes),
             cfg.svm)
 
-    # annotate a copy of every record; accuracies use the held-out rows only
+    # annotate every record; accuracies use the held-out rows only
     test_set = set(test_idx)
     det_hits = 0
     cls_hits = 0
     cls_total = 0
-    annotated = []
+    annotations = []
     for i, rec in enumerate(records):
         row = features[i]
         value = det_model.decision_value(row)
@@ -692,9 +701,8 @@ def evaluate_condition(records, split_seed: int,
             pred = cls_model.predict(row)
         elif detected:
             pred = debris_classes[0]
-        split = "test" if i in test_set else "train"
-        annotated.append(replace(rec, det_value=value, pred_label=pred,
-                                 flags=tuple(sorted({*rec.flags, split}))))
+        annotations.append(RowAnnotation(
+            value, pred, "test" if i in test_set else "train"))
         if i in test_set:
             truth_detected = rec.label != NO_DEBRIS_LABEL
             det_hits += int(detected == truth_detected)
@@ -709,7 +717,7 @@ def evaluate_condition(records, split_seed: int,
         cls_acc=(cls_hits / cls_total) if cls_total else float("nan"),
         detection_model=det_model,
         classification_model=cls_model,
-        records=tuple(annotated))
+        annotations=tuple(annotations))
 
 
 # ---------------------------------------------------------------------------
@@ -724,23 +732,12 @@ METRICS_CSV_HEADER = ("condition_id,frequency_hz,mimo,snr_db,density,"
                       "mean_ber,ber_ci95,det_acc,cls_acc")
 
 
-def _run_condition_worker(args):
-    family, cfg, master_seed = args
-    return run_condition(family, cfg, master_seed)
-
-
-def _evaluate_group_worker(args):
-    records, split_seed, cfg = args
-    return evaluate_condition(records, split_seed, cfg)
-
-
 @dataclass
 class CampaignResult:
     conditions: list
     groups: list
-    records: dict          # condition_id -> list[SampleRecord]
-    summaries: dict        # group_id -> MetricsSummary, records left empty
-    cond_group_acc: dict   # condition_id -> (det_acc, cls_acc)
+    records: dict          # condition_id -> list[SampleRecord], as simulated
+    summaries: dict        # group_id -> MetricsSummary
 
 
 def run_campaign(cfg: SimulationConfig, master_seed: int,
@@ -752,7 +749,8 @@ def run_campaign(cfg: SimulationConfig, master_seed: int,
     SNR family is one unit of work and is simulated; then each evaluation
     group is one, and trains and scores its machines on the pooled records
     of its conditions.  Results are taken in the order the work was given,
-    so the outputs do not depend on ``threads``.
+    so the outputs do not depend on ``threads``.  The records come back as
+    simulated and the summaries as evaluated.
 
     An error in a pool worker is raised again in the caller, with its type
     and message, for the first failing unit in that order.  It is pickled on
@@ -762,43 +760,23 @@ def run_campaign(cfg: SimulationConfig, master_seed: int,
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     conditions, groups = enumerate_conditions(cfg)
-    families = snr_families(conditions)
+    records: dict[str, list] = {c.condition_id: [] for c in conditions}
     with (ProcessPoolExecutor(max_workers=threads) if threads > 1
           else contextlib.nullcontext()) as pool:
         mapper = map if pool is None else pool.map
-        by_id: dict[str, list] = {}
-        for recs in mapper(_run_condition_worker,
-                           [(f, cfg, master_seed) for f in families]):
+        for recs in mapper(run_condition, snr_families(conditions),
+                           itertools.repeat(cfg), itertools.repeat(master_seed)):
             for rec in recs:
-                by_id.setdefault(rec.condition_id, []).append(rec)
-        results = mapper(_evaluate_group_worker, [
-            ([rec for cid in group.condition_ids for rec in by_id[cid]],
-             int(np.random.SeedSequence([master_seed, _STREAM_SPLIT, g_idx])
-                 .generate_state(1)[0]),
-             cfg)
-            for g_idx, group in enumerate(groups)])
-
-        # groups read the simulated records; a shared cell keeps the last
-        # group's copies
-        annotated = {c.condition_id: by_id[c.condition_id] for c in conditions}
-        summaries = {}
-        acc_by_cond: dict[str, list] = {}
-        for group, summary in zip(groups, results):
-            # the copies live on in ``annotated`` only, and only the last group's
-            summaries[group.group_id] = replace(summary, records=())
-            copies = iter(summary.records)
-            for cid in group.condition_ids:
-                annotated[cid] = [next(copies) for _ in by_id[cid]]
-                acc_by_cond.setdefault(cid, []).append(
-                    (summary.det_acc, summary.cls_acc))
-    cond_group_acc = {}
-    for cid, pairs in acc_by_cond.items():
-        det = float(np.mean([p[0] for p in pairs]))
-        cls_vals = [p[1] for p in pairs if not math.isnan(p[1])]
-        cls = float(np.mean(cls_vals)) if cls_vals else float("nan")
-        cond_group_acc[cid] = (det, cls)
-    return CampaignResult(conditions=conditions, groups=groups, records=annotated,
-                          summaries=summaries, cond_group_acc=cond_group_acc)
+                records[rec.condition_id].append(rec)
+        summaries = dict(zip([group.group_id for group in groups], mapper(
+            evaluate_condition,
+            [[rec for cid in group.condition_ids for rec in records[cid]]
+             for group in groups],
+            [int(np.random.SeedSequence([master_seed, _STREAM_SPLIT, g_idx])
+                 .generate_state(1)[0]) for g_idx in range(len(groups))],
+            itertools.repeat(cfg))))
+    return CampaignResult(conditions=conditions, groups=groups, records=records,
+                          summaries=summaries)
 
 
 def _fmt(x) -> str:
@@ -809,25 +787,42 @@ def _fmt(x) -> str:
 
 def write_campaign_outputs(result: CampaignResult, cfg: SimulationConfig,
                            out_dir) -> None:
-    """Write per-condition sample CSVs, the metrics CSV and plot-data CSVs."""
+    """Write per-condition sample CSVs, the metrics CSV and plot-data CSVs.
+
+    A sample row carries the annotations of the last group that pools its
+    condition; a condition's accuracies are the means over the groups that
+    pool it, skipping a NaN cls_acc.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    annotations: dict[str, list] = {}
+    pooled_by: dict[str, list] = {}
+    for group in result.groups:
+        summary = result.summaries[group.group_id]
+        rows = iter(summary.annotations)
+        for cid in group.condition_ids:
+            annotations[cid] = [next(rows) for _ in result.records[cid]]
+            pooled_by.setdefault(cid, []).append(summary)
+
     for cond in result.conditions:
         lines = [SAMPLE_CSV_HEADER]
-        for rec in result.records[cond.condition_id]:
+        for rec, note in zip(result.records[cond.condition_id],
+                             annotations[cond.condition_id]):
             fv = rec.features
             lines.append(",".join([
                 rec.condition_id, str(rec.sample_idx), rec.label, _fmt(rec.ber),
                 _fmt(fv.mean), _fmt(fv.variance), _fmt(fv.maximum),
-                _fmt(fv.minimum), _fmt(fv.skewness),
-                _fmt(rec.det_value) if rec.det_value is not None else "",
-                rec.pred_label or "", "|".join(rec.flags)]))
+                _fmt(fv.minimum), _fmt(fv.skewness), _fmt(note.det_value),
+                note.pred_label, "|".join(sorted({*rec.flags, note.split}))]))
         (out / f"samples_{cond.condition_id}.csv").write_text(
             "\n".join(lines) + "\n", encoding="utf-8")
 
     lines = [METRICS_CSV_HEADER]
     for cond in result.conditions:
-        det, cls = result.cond_group_acc[cond.condition_id]
+        pooled = pooled_by[cond.condition_id]
+        det = float(np.mean([s.det_acc for s in pooled]))
+        cls_vals = [s.cls_acc for s in pooled if not math.isnan(s.cls_acc)]
+        cls = float(np.mean(cls_vals)) if cls_vals else float("nan")
         recs = result.records[cond.condition_id]
         bers = np.array([r.ber for r in recs])
         ci = (1.96 * float(np.std(bers, ddof=1)) / math.sqrt(len(bers))
@@ -852,6 +847,8 @@ def _write_plot_files(result: CampaignResult, cfg: SimulationConfig, out: Path):
         if kind == "frequency_snr" or kind == "trend":
             x = cond.snr_db
             series_base = f"f{cond.frequency_hz:g}"
+            if cond.density_idx > 0:  # the trend's density-comparison leg
+                series_base += f"-rho{cond.density_per_km3:g}"
         elif kind == "mimo_frequency":
             x = cond.frequency_hz
             series_base = f"m{cond.n_antennas}"

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, MaterialError
 
 
@@ -79,6 +80,16 @@ class MaterialProperties:
 
     def absorption(self, f_hz: float) -> float:
         return _interp_table(self.alpha_table, f_hz, "absorption", self.name)
+
+    def check_facets(self, f_hz: float) -> None:
+        """Raise MaterialError unless both facet dimensions are at least 10
+        wavelengths at ``f_hz``, as the physical-optics scattering model needs."""
+        lam = SPEED_OF_LIGHT / f_hz
+        if self.facet_lx_m < 10 * lam or self.facet_ly_m < 10 * lam:
+            raise MaterialError(
+                f"material '{self.name}': facet dims ({self.facet_lx_m}, "
+                f"{self.facet_ly_m}) m must be >= 10 wavelengths ({10 * lam:.4g} m) "
+                f"at {f_hz:.4g} Hz for the physical-optics model")
 
     @property
     def facet_area_m2(self) -> float:

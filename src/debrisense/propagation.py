@@ -120,11 +120,6 @@ def medium(material: MaterialProperties, f_hz: float) -> Medium:
                   z=cmath.sqrt(VACUUM_PERMEABILITY / (VACUUM_PERMITTIVITY * eps_rel)))
 
 
-def complex_refractive_index(f_hz: float, material: MaterialProperties) -> complex:
-    """n - j*kappa with kappa = alpha*c/(4*pi*f)."""
-    return medium(material, f_hz).n_c
-
-
 def wave_impedance(f_hz: float, material: MaterialProperties) -> complex:
     """Intrinsic wave impedance of the (lossy) reflecting medium, ohms."""
     if f_hz <= 0:
@@ -266,11 +261,8 @@ def scattering_coefficient(f_hz: float, geom: ScatterGeometry,
     the bracket (the growing-exponential variant is unphysical: it diverges
     for rough surfaces).
     """
+    material.check_facets(f_hz)
     lam = SPEED_OF_LIGHT / f_hz
-    if material.facet_lx_m < 10 * lam or material.facet_ly_m < 10 * lam:
-        raise ValueError(
-            f"facet dims ({material.facet_lx_m}, {material.facet_ly_m}) m must be "
-            f">= 10 wavelengths ({10 * lam:.4g} m) for the physical-optics model")
     k = 2.0 * math.pi / lam
     c1, c2 = math.cos(geom.theta1), math.cos(geom.theta2)
     s1, s2 = math.sin(geom.theta1), math.sin(geom.theta2)

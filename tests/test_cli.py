@@ -119,7 +119,10 @@ def test_bad_array_or_subband_setting_exits_2(tmp_path, capsys, setting):
     ("[channel]", "[scene]\ndebris_size_m = 0\n[channel]"),
     ("[channel]", "[svm]\ntolerance = nan\n[channel]"),
     ("frequencies_hz = 30e9", "frequencies_hz = 20e9"),
-], ids=["minor_axis_nan", "size_zero", "tolerance_nan", "frequency_uncovered"])
+    ("n_subbands = 4", "n_subbands = 4\nbandwidth_hz = 1e11"),
+    ("n_subbands = 4", "n_subbands = 4\nbandwidth_hz = 4e10"),
+], ids=["minor_axis_nan", "size_zero", "tolerance_nan", "frequency_uncovered",
+        "subband_below_zero", "subband_below_tables"])
 def test_bad_setting_exits_2_before_any_sample(tmp_path, capsys, monkeypatch,
                                                setting):
     def campaign_started(*args, **kwargs):

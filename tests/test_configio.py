@@ -178,6 +178,35 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"{table} does not cover"):
             parse_config(text)
 
+    @pytest.mark.parametrize("bandwidth, table_start, problem", [
+        ("1e11", "20e9", "sub-band centres must be > 0 Hz"),
+        ("4e10", "20e9", "not tabulated at 1.5e\\+10 Hz"),
+        ("4e10", "1e9", "must be >= 10 wavelengths"),
+    ], ids=["below_zero", "below_tables", "facets_too_small"])
+    def test_subband_centres_checked(self, tmp_path, bandwidth, table_start,
+                                     problem):
+        # 4 sub-bands around 30 GHz: at 100 GHz of bandwidth the lowest
+        # centre is -7.5 GHz; at 40 GHz it is 15 GHz, below the tables that
+        # start at 20 GHz and where a 0.15 m facet is under 10 wavelengths
+        mats = "".join(f"""
+[{name}]
+n = {table_start}:1.5, 6e12:1.5
+alpha_per_m = {table_start}:0, 6e12:0
+roughness_sigma_m = 1e-6
+correlation_length_m = 1e-4
+facet_lx_m = 0.15
+facet_ly_m = 0.15
+""" for name in ("smooth_glass", "rough_metal"))
+        (tmp_path / "mats.ini").write_text(mats, encoding="utf-8")
+        text = ("[campaign]\nfrequencies_hz = 30e9\n"
+                f"[channel]\nn_subbands = 4\nbandwidth_hz = {bandwidth}\n"
+                "[materials]\nfile = mats.ini\n")
+        with pytest.raises(ConfigError, match=problem):
+            parse_config(text, config_dir=tmp_path)
+        # the same materials pass at a bandwidth that keeps every centre valid
+        parse_config(text.replace(f"bandwidth_hz = {bandwidth}",
+                                  "bandwidth_hz = 1e9"), config_dir=tmp_path)
+
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ConfigError, match="los_indicator"):
             parse_config("[channel]\nlos_indicator = 1\n")

@@ -1,6 +1,7 @@
 """Campaign grids, interaction draws, per-sample pipeline and outputs."""
 
 import copy
+import csv
 import math
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from debrisense.channel import subband_grid
-from debrisense.configio import CampaignGrid, default_config
+from debrisense.configio import CAMPAIGN_KINDS, CampaignGrid, default_config
 from debrisense.errors import EqualizationError, TrainingError
 from debrisense.experiments import (_STREAM_SPLIT, Interaction,
                                     balanced_partition, build_paths,
@@ -205,7 +206,7 @@ class TestSnrFamilies:
                 assert a.ber == b.ber
                 assert a.features.as_array().tobytes() == \
                     b.features.as_array().tobytes()
-                assert set(a.flags) == set(b.flags) - {"train", "test"}
+                assert a.flags == b.flags
 
     def test_thread_pool_matches_serial_across_families(self, tmp_path):
         cfg = self.two_snr_cfg(samples=8)
@@ -331,8 +332,8 @@ class TestEvaluate:
         conds, _ = enumerate_conditions(cfg)
         recs = run_condition(conds[1], cfg, master_seed=7)
         summary = evaluate_condition(recs, split_seed=99, cfg=cfg)
-        held_out = [r for r in summary.records
-                    if "test" in r.flags and r.label != "none"]
+        held_out = [r for r, note in zip(recs, summary.annotations)
+                    if note.split == "test" and r.label != "none"]
         assert held_out
         hits = sum(summary.classification_model.predict(r.features.as_array())
                    == r.label for r in held_out)
@@ -345,21 +346,18 @@ class TestEvaluate:
         before = copy.deepcopy(recs)
         summary = evaluate_condition(recs, split_seed=3, cfg=cfg)
         assert recs == before
-        assert [replace(r, det_value=None, pred_label=None,
-                        flags=tuple(sorted(set(r.flags) - {"train", "test"})))
-                for r in summary.records] == before
+        assert len(summary.annotations) == len(recs)
 
     def test_split_membership_recorded(self):
         cfg = tiny_cfg(samples=20)
         conds, _ = enumerate_conditions(cfg)
         recs = run_condition(conds[0], cfg, master_seed=8)
         summary = evaluate_condition(recs, split_seed=3, cfg=cfg)
-        markers = [("train" in r.flags) + ("test" in r.flags)
-                   for r in summary.records]
-        assert len(markers) == 20
-        assert all(m == 1 for m in markers)
+        splits = [note.split for note in summary.annotations]
+        assert len(splits) == 20
+        assert set(splits) == {"train", "test"}
         # 30% of 20, stratified
-        assert sum("test" in r.flags for r in summary.records) == 6
+        assert splits.count("test") == 6
 
     def test_degenerate_split_names_class(self):
         cfg = tiny_cfg(samples=12)
@@ -375,10 +373,10 @@ class TestEvaluate:
         conds, _ = enumerate_conditions(cfg)
         recs = run_condition(conds[1], cfg, master_seed=11)
         summary = evaluate_condition(recs, split_seed=5, cfg=cfg)
-        assert len(summary.records) == len(recs)
-        for r in summary.records:
-            assert r.det_value is not None
-            assert r.pred_label in ("none", "smooth_glass", "rough_metal")
+        assert len(summary.annotations) == len(recs)
+        for note in summary.annotations:
+            assert type(note.det_value) is float and math.isfinite(note.det_value)
+            assert note.pred_label in ("none", "smooth_glass", "rough_metal")
 
 
 def test_no_debris_rows_rarely_alert_at_high_frequency():
@@ -390,9 +388,32 @@ def test_no_debris_rows_rarely_alert_at_high_frequency():
                 and c.snr_db == 20.0 and c.density_per_km3 == 1e-6)
     recs = run_condition(cond, cfg, master_seed=1)
     summary = evaluate_condition(recs, split_seed=7, cfg=cfg)
-    none_rows = [r for r in summary.records if r.label == "none"]
-    false_alarms = sum(r.pred_label != "none" for r in none_rows)
-    assert false_alarms <= 0.1 * len(none_rows)
+    none_preds = [note.pred_label for r, note in zip(recs, summary.annotations)
+                  if r.label == "none"]
+    false_alarms = sum(pred != "none" for pred in none_preds)
+    assert false_alarms <= 0.1 * len(none_preds)
+
+
+@pytest.fixture(scope="module")
+def table1_run(tmp_path_factory):
+    """Table 1 at 9 samples per condition and seed 3, with its outputs
+    written, run once per thread count asked for."""
+    runs = {}
+
+    def run(threads):
+        if threads not in runs:
+            cfg = table_config(1, samples=9)
+            result = run_campaign(cfg, master_seed=3, threads=threads)
+            out = tmp_path_factory.mktemp(f"table1-threads{threads}")
+            write_campaign_outputs(result, cfg, out)
+            runs[threads] = (cfg, result, out)
+        return runs[threads]
+    return run
+
+
+def read_csv(path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestCampaignOutputs:
@@ -440,14 +461,42 @@ class TestCampaignOutputs:
         metrics = (tmp_path / "metrics.csv").read_text().splitlines()
         assert len(metrics) == 1 + 28
 
-    def test_shared_no_debris_cell_keeps_exclusive_split_markers(self):
+    def test_shared_no_debris_cell_keeps_exclusive_split_markers(self, table1_run):
         # the per-frequency no-debris cell is evaluated by every density
-        # group; split markers must be replaced, not accumulated
-        cfg = table_config(1, samples=9)
-        result = run_campaign(cfg, master_seed=3)
-        for recs in result.records.values():
-            for rec in recs:
-                assert ("train" in rec.flags) != ("test" in rec.flags)
+        # group; each sample row is marked train or test, never both
+        _, result, out = table1_run(1)
+        for cond in result.conditions:
+            rows = read_csv(out / f"samples_{cond.condition_id}.csv")
+            assert len(rows) == 9
+            for row in rows:
+                flags = row["flags"].split("|")
+                assert ("train" in flags) != ("test" in flags)
+
+    def test_metrics_accuracy_is_mean_over_pooling_groups(self, table1_run):
+        # each frequency's no-debris cell is pooled by its three density
+        # groups; its metrics row averages theirs, skipping a NaN cls_acc
+        _, result, out = table1_run(1)
+        metrics = {row["condition_id"]: row
+                   for row in read_csv(out / "metrics.csv")}
+        none_conds = [c for c in result.conditions if c.labels == ("none",)]
+        assert len(none_conds) == 4
+        for cond in none_conds:
+            pooled = [result.summaries[g.group_id] for g in result.groups
+                      if cond.condition_id in g.condition_ids]
+            assert len(pooled) == 3
+            cls_vals = [s.cls_acc for s in pooled if not math.isnan(s.cls_acc)]
+            row = metrics[cond.condition_id]
+            assert float(row["det_acc"]) == float(np.mean([s.det_acc for s in pooled]))
+            if cls_vals:
+                assert float(row["cls_acc"]) == float(np.mean(cls_vals))
+            else:
+                assert row["cls_acc"] == "nan"
+        for cond in result.conditions:
+            if cond.labels != ("none",):
+                (group,) = [g for g in result.groups
+                            if cond.condition_id in g.condition_ids]
+                assert float(metrics[cond.condition_id]["det_acc"]) == \
+                    result.summaries[group.group_id].det_acc
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_evaluation_error_names_its_class_at_any_thread_count(self, threads):
@@ -460,12 +509,13 @@ class TestCampaignOutputs:
             run_campaign(cfg, master_seed=1, threads=threads)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_shared_no_debris_cell_carries_last_density_group(self, threads):
+    def test_shared_no_debris_cell_carries_last_density_group(self, table1_run,
+                                                              threads):
         # each frequency's no-debris cell is pooled by all three density
         # groups; its rows carry what a standalone evaluation of the last
         # (highest-density) group at that frequency gives them
-        cfg, seed = table_config(1, samples=9), 3
-        result = run_campaign(cfg, master_seed=seed, threads=threads)
+        cfg, result, out = table1_run(threads)
+        seed = 3
         last = {}
         for g_idx, group in enumerate(result.groups):
             for cid in group.condition_ids:
@@ -480,10 +530,28 @@ class TestCampaignOutputs:
                       for rec in run_condition(conds[cid], cfg, seed)]
             split_seed = int(np.random.SeedSequence(
                 [seed, _STREAM_SPLIT, g_idx]).generate_state(1)[0])
-            alone = evaluate_condition(pooled, split_seed, cfg).records
-            alone = [r for r in alone if r.condition_id == cond.condition_id]
-            shared = result.records[cond.condition_id]
+            notes = evaluate_condition(pooled, split_seed, cfg).annotations
+            alone = [(rec, note) for rec, note in zip(pooled, notes)
+                     if rec.condition_id == cond.condition_id]
+            shared = read_csv(out / f"samples_{cond.condition_id}.csv")
             assert len(shared) == len(alone) == 9
-            for a, b in zip(alone, shared):
-                assert (a.sample_idx, a.det_value, a.pred_label, a.flags) == \
-                    (b.sample_idx, b.det_value, b.pred_label, b.flags)
+            for (rec, note), row in zip(alone, shared):
+                assert (str(rec.sample_idx), repr(note.det_value), note.pred_label,
+                        "|".join(sorted({*rec.flags, note.split}))) == \
+                    (row["sample_idx"], row["det_value"], row["pred_label"],
+                     row["flags"])
+
+    @pytest.mark.parametrize("kind", sorted(CAMPAIGN_KINDS))
+    def test_plot_rows_have_unique_keys(self, tmp_path, kind):
+        # one value per (x, series) point: the trend's density-comparison
+        # leg shares its frequency and SNR with a main-grid condition
+        cfg = tiny_cfg(samples=9, kind=kind)
+        cfg = replace(cfg, campaign=replace(
+            cfg.campaign, snr_values_db=(15.0, 20.0),
+            densities_per_km3=(1e-6, 1e-7)))
+        write_campaign_outputs(run_campaign(cfg, master_seed=5), cfg, tmp_path)
+        for name in ("plot_ber.csv", "plot_detection_accuracy.csv",
+                     "plot_classification_accuracy.csv"):
+            keys = [(row["x"], row["series"]) for row in read_csv(tmp_path / name)]
+            assert keys
+            assert len(keys) == len(set(keys)), name
