@@ -87,8 +87,7 @@ def _cmd_evaluate(args) -> int:
         labels = detection_labels(labels)
     hits = 0
     confusion: dict = {}
-    for row, truth in zip(features, labels):
-        pred = model.predict(row)
+    for pred, truth in zip(model.predict(features), labels):
         hits += int(pred == truth)
         confusion.setdefault(truth, {}).setdefault(pred, 0)
         confusion[truth][pred] += 1

@@ -9,16 +9,20 @@ SNR sweeps (same scenes/channels, rescaled noise), and debris-interaction
 draws nest across frequencies (activation probabilities rise with f).
 
 A campaign runs in two phases, serially or on a process pool through the
-same mapper.  The unit of work of the first is an SNR family: the
-conditions that differ only in SNR.  None of the seed streams depends on
-SNR, so the siblings of a family share one draw per sample: scene,
-interactions, paths, the sub-band channel matrices, the payload and
-unit-noise draws, and the SNR-independent link terms (the noiseless
-received blocks and each sub-band's signal power).  Each sibling then only
-scales the noise to its SNR, equalizes and counts bit errors, and extracts
-the features, on stacks of sub-bands rather than one matrix at a time.
-Within a sample, each path's geometry, angles and steering are resolved
-once; only its gain is evaluated per sub-band.  The unit of work of the
+same mapper.  The work of the first is organised by scene family: the
+conditions that differ only in SNR, carrier frequency and MIMO size.  The
+scene and interaction seed streams depend on none of the three, so a
+family's conditions share one debris field per sample.  Per sample, the
+scene and the interaction uniforms are drawn once; interactions are
+activated and path gains evaluated once per carrier, at each of its
+sub-band centres; each path's geometry and angles are resolved once and
+its steering once per array size.  The SNR siblings of a (carrier, array
+size) share its sub-band channel matrices, payload and unit-noise draws
+and the SNR-independent link terms (the noiseless received blocks and each
+sub-band's signal power); each sibling then only scales the noise to its
+SNR, equalizes and counts bit errors, and extracts the features, on stacks
+of sub-bands rather than one matrix at a time.  A unit of work is a
+contiguous block of one family's sample indices.  The unit of work of the
 second phase is an evaluation group: its machines are trained and scored on
 the pooled records of its conditions, and it returns its accuracies and one
 annotation per pooled row (decision value, predicted label, split).  The
@@ -32,6 +36,7 @@ import contextlib
 import functools
 import itertools
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -276,25 +281,38 @@ class Interaction:
     scatter_azimuth: float
 
 
+class InteractionDraws(NamedTuple):
+    """A scene's interaction uniforms, shared by every carrier."""
+    activation: np.ndarray  # (objects, mechanisms) uniforms on [0, 1)
+    azimuths: np.ndarray    # one scatter azimuth per object
+
+
+def interaction_draws(scene: DebrisScene,
+                      rng: np.random.Generator) -> InteractionDraws:
+    """One uniform per (object, mechanism), in a fixed order, then one
+    scatter azimuth per object."""
+    n, k = len(scene.objects), len(DEBRIS_MECHANISMS)
+    return InteractionDraws(
+        activation=rng.random((n, k)) if n else np.zeros((0, k)),
+        azimuths=rng.uniform(0.0, 2.0 * math.pi, size=n) if n else np.zeros(0))
+
+
 def draw_interactions(scene: DebrisScene, f_hz: float, table,
-                      rng: np.random.Generator) -> list[Interaction]:
+                      draws: InteractionDraws) -> list[Interaction]:
     """Independently activate each (object, mechanism) with its table probability.
 
-    One uniform draw per (object, mechanism) is consumed in a fixed order,
-    so activation sets are nested across frequencies whenever the table is
-    monotone in frequency.  Scatter azimuths are drawn for every object up
-    front for the same reason.
+    An interaction is active at ``f_hz`` when its uniform lies below its
+    probability there.  Every carrier reads the same uniforms, so
+    activation sets are nested across frequencies whenever the table is
+    monotone in frequency.
     """
-    n, k = len(scene.objects), len(DEBRIS_MECHANISMS)
-    draws = rng.random((n, k)) if n else np.zeros((0, k))
-    azimuths = rng.uniform(0.0, 2.0 * math.pi, size=n) if n else np.zeros(0)
     out = []
     for i, obj in enumerate(scene.objects):
         for m_idx, mech in enumerate(DEBRIS_MECHANISMS):
             p = table.probability(obj.debris_class, mech, f_hz)
-            if draws[i, m_idx] < p:
+            if draws.activation[i, m_idx] < p:
                 out.append(Interaction(object_index=i, mechanism=mech,
-                                       scatter_azimuth=float(azimuths[i])))
+                                       scatter_azimuth=float(draws.azimuths[i])))
     return out
 
 
@@ -353,43 +371,80 @@ def _path_gain(geom: PathGeometry, f_hz: float, material, pol: Polarization,
     return diffracted_response(f_hz, s1_m, s2_m, geom.clearance_m)
 
 
+class ScenePaths:
+    """One sample's scene and the parts of its paths that no carrier or
+    array size changes.
+
+    Each interaction's geometry is resolved once, each object's departure
+    and arrival angles once, and its steering matrix once per array size,
+    all on first use, so every condition of a scene family reads the same
+    ones.  Both ends are ULAs with element spacing ``spacing`` (in
+    wavelengths).  The line of sight is object ``None``.
+    """
+
+    def __init__(self, scene: DebrisScene, spacing: float):
+        self.scene = scene
+        self.spacing = spacing
+        self._geometry: dict = {}
+        self._angles: dict = {None: (0.0, 0.0)}
+        self._steering: dict = {}
+
+    def geometry(self, inter: Interaction) -> PathGeometry | None:
+        """``interaction_geometry`` of the interaction; a failure raises
+        again at every call."""
+        key = (inter.object_index, inter.mechanism)
+        if key not in self._geometry:
+            self._geometry[key] = interaction_geometry(self.scene, *key)
+        return self._geometry[key]
+
+    def steering(self, object_index: int | None, n: int) -> np.ndarray:
+        """The n x n steering matrix of the object's paths."""
+        key = (object_index, n)
+        if key not in self._steering:
+            if object_index not in self._angles:
+                self._angles[object_index] = _angles(
+                    self.scene, self.scene.objects[object_index].position_km)
+            self._steering[key] = steering_matrix(
+                n, self.spacing, *self._angles[object_index])
+        return self._steering[key]
+
+
 @dataclass(frozen=True)
 class SamplePath:
-    """One path of a sample, resolved once for all of its sub-bands.
+    """One path of a sample at one carrier, resolved once for all of its
+    sub-bands and array sizes.
 
+    ``object_index`` names the debris object it goes through (None for the
+    line of sight), whose steering ``ScenePaths.steering`` holds.
     ``gains`` holds the path's transfer function at each sub-band, or None
     where evaluating it raised.
     """
     mechanism: Mechanism
-    steering: np.ndarray
+    object_index: int | None
     gains: tuple
 
 
-def build_paths(scene: DebrisScene, interactions, grid, cfg: SimulationConfig,
-                flags: list, n_antennas: int) -> list[SamplePath]:
+def build_paths(scene_paths: ScenePaths, interactions, grid,
+                cfg: SimulationConfig, flags: list) -> list[SamplePath]:
     """Resolve the line of sight and every activated interaction into paths.
 
-    Both ends are ``n_antennas``-element ULAs with the configured spacing.
-    Geometry, angles and steering do not depend on frequency and are
-    resolved once; gains are evaluated at each sub-band centre of ``grid``.
-    Geometry failures (grazing scattering, no knife-edge projection) skip
-    the path, and a gain that raises skips it at that sub-band only; both
-    append a flag instead of aborting the sample.
+    Geometry comes from ``scene_paths``, resolved once for every carrier;
+    gains are evaluated at each sub-band centre of ``grid``.  Geometry
+    failures (grazing scattering, no knife-edge projection) skip the path,
+    and a gain that raises skips it at that sub-band only; both append a
+    flag instead of aborting the sample.
     """
+    scene = scene_paths.scene
     pol = cfg.channel.polarization
-    spacing = cfg.channel.spacing
     freqs = [float(f) for f in grid]
     paths = [SamplePath(
-        mechanism=Mechanism.LOS,
-        steering=steering_matrix(n_antennas, spacing, 0.0, 0.0),
+        mechanism=Mechanism.LOS, object_index=None,
         gains=tuple(los_response(f, scene.geometry.distance_m) for f in freqs))]
     for inter in interactions:
-        obj = scene.objects[inter.object_index]
-        material = cfg.materials[obj.debris_class]
+        material = cfg.materials[scene.objects[inter.object_index].debris_class]
         error_flag = f"path_error:{inter.mechanism.value}"
         try:
-            geom = interaction_geometry(scene, inter.object_index,
-                                        inter.mechanism)
+            geom = scene_paths.geometry(inter)
         except DebrisenseError:
             flags.append(error_flag)
             continue
@@ -404,11 +459,9 @@ def build_paths(scene: DebrisScene, interactions, grid, cfg: SimulationConfig,
             except DebrisenseError:
                 gains.append(None)
                 flags.append(error_flag)
-        el_tx, el_rx = _angles(scene, obj.position_km)
-        paths.append(SamplePath(
-            mechanism=inter.mechanism,
-            steering=steering_matrix(n_antennas, spacing, el_tx, el_rx),
-            gains=tuple(gains)))
+        paths.append(SamplePath(mechanism=inter.mechanism,
+                                object_index=inter.object_index,
+                                gains=tuple(gains)))
     return paths
 
 
@@ -452,37 +505,24 @@ class SampleDraw:
     frames: tuple[FrameStack, ...]
 
 
-def draw_sample(cond: ConditionSpec, label: str, sample_idx: int,
-                cfg: SimulationConfig, master_seed: int,
-                label_idx: int) -> SampleDraw:
-    """Scene -> interactions -> paths -> sub-band channels and payload."""
-    flags: list[str] = []
-    scene_rng = _rng(master_seed, _STREAM_SCENE, cond.table_tag,
-                     cond.density_idx, label_idx, sample_idx)
-    inter_rng = _rng(master_seed, _STREAM_INTERACT, cond.table_tag,
-                     cond.density_idx, label_idx, sample_idx)
-    fading_rng = _rng(master_seed, _STREAM_FADING, cond.table_tag,
-                      cond.density_idx, label_idx, sample_idx, cond.mimo_idx)
-    noise_rng = _rng(master_seed, _STREAM_NOISE, cond.table_tag, cond.f_idx,
-                     cond.density_idx, label_idx, sample_idx, cond.mimo_idx)
+def draw_sample(cond: ConditionSpec, label: str, sample_key: tuple,
+                scene_paths: ScenePaths, paths, flags, grid,
+                cfg: SimulationConfig, master_seed: int) -> SampleDraw:
+    """Sub-band channels and payload of one sample at ``cond``'s carrier and
+    array size, from the ``paths`` built at that carrier.
 
-    debris = label != NO_DEBRIS_LABEL
-    scene_cfg = SceneConfig(geometry=cfg.link,
-                            density_per_km3=cond.density_per_km3 if debris else 0.0,
-                            semi_axes_km=cfg.scene.semi_axes(cfg.link.distance_km),
-                            debris_class=label if debris else None,
-                            debris_size_m=cfg.scene.debris_size_m)
-    scene = generate_scene(scene_cfg, seed=int(scene_rng.integers(0, 2 ** 63)))
-    interactions = draw_interactions(scene, cond.frequency_hz,
-                                     cfg.interactions, inter_rng)
-
-    grid = subband_grid(cond.frequency_hz, cfg.channel.n_subbands,
-                        cfg.channel.bandwidth_hz)
-    # the paths (and their steering matrices) are freed before the payload
-    # stacks are drawn
+    ``sample_key`` is the sample's (table tag, density index, label index,
+    sample index); the fading and noise streams add the array size, and
+    the noise stream the carrier, to it.
+    """
+    tag, density_idx, label_idx, sample_idx = sample_key
+    n = cond.n_antennas
+    fading_rng = _rng(master_seed, _STREAM_FADING, *sample_key, cond.mimo_idx)
+    noise_rng = _rng(master_seed, _STREAM_NOISE, tag, cond.f_idx, density_idx,
+                     label_idx, sample_idx, cond.mimo_idx)
     channel = _subband_channels(
-        build_paths(scene, interactions, grid, cfg, flags, cond.n_antennas),
-        grid, cond.n_antennas, cfg.link.velocity_m_s,
+        paths, [scene_paths.steering(p.object_index, n) for p in paths],
+        grid, n, cfg.link.velocity_m_s,
         functools.partial(cfg.channel.k_factor, label, cond.frequency_hz),
         fading_rng)
     lengths = balanced_partition(cfg.linksim.frame_symbols,
@@ -490,16 +530,18 @@ def draw_sample(cond: ConditionSpec, label: str, sample_idx: int,
     return draw_link(sample_idx, label, tuple(flags), channel, lengths, noise_rng)
 
 
-def _subband_channels(paths, grid, n_antennas: int, velocity_m_s: float,
-                      k_factor_db, fading_rng) -> np.ndarray:
+def _subband_channels(paths, steering, grid, n_antennas: int,
+                      velocity_m_s: float, k_factor_db,
+                      fading_rng) -> np.ndarray:
     """The (S, N, N) stack of a sample's sub-band channel matrices.
 
-    A sub-band that more than one path reaches gets Rician small-scale
-    fading at the K-factor ``k_factor_db()``.
+    ``steering`` holds each path's N x N steering matrix.  A sub-band that
+    more than one path reaches gets Rician small-scale fading at the
+    K-factor ``k_factor_db()``.
     """
     channel = np.empty((len(grid), n_antennas, n_antennas), dtype=complex)
     for k, f_k in enumerate(grid):
-        terms = [(p.gains[k], p.steering) for p in paths
+        terms = [(p.gains[k], a) for p, a in zip(paths, steering)
                  if p.gains[k] is not None]
         h = assemble_subband(terms, n_antennas, float(f_k), velocity_m_s)
         if len(terms) > 1:
@@ -592,47 +634,114 @@ def simulate_sample(cond: ConditionSpec, draw: SampleDraw,
                         flags=tuple(sorted(set(flags))))
 
 
-def _snr_free(cond: ConditionSpec) -> ConditionSpec:
-    return replace(cond, condition_id="", snr_db=0.0)
+def _scene_key(cond: ConditionSpec) -> ConditionSpec:
+    """What the conditions of a scene family share: all but SNR, carrier
+    and array size."""
+    return replace(cond, condition_id="", snr_db=0.0, f_idx=0,
+                   frequency_hz=0.0, mimo_idx=0, n_antennas=0)
 
 
-def snr_families(conditions) -> list[tuple[ConditionSpec, ...]]:
-    """Group conditions that differ only in SNR, in order of first appearance."""
+def scene_families(conditions) -> list[tuple[ConditionSpec, ...]]:
+    """Group conditions that differ only in SNR, carrier and array size, in
+    order of first appearance."""
     families: dict[ConditionSpec, list] = {}
     for cond in conditions:
-        families.setdefault(_snr_free(cond), []).append(cond)
+        families.setdefault(_scene_key(cond), []).append(cond)
     return [tuple(family) for family in families.values()]
 
 
-def run_condition(conds, cfg: SimulationConfig,
-                  master_seed: int) -> list[SampleRecord]:
-    """Generate all samples of one condition, balanced across its labels.
+def sample_blocks(total: int, count: int) -> list[range]:
+    """Sample indices 0 .. total-1 cut into ``count`` contiguous blocks
+    (``total`` of them if fewer), of sizes as even as they go."""
+    sizes = list(balanced_partition(total, range(min(count, total))).values())
+    return [range(end - size, end)
+            for size, end in zip(sizes, itertools.accumulate(sizes))]
 
-    ``conds`` is one condition or an SNR family: conditions that differ only
-    in SNR.  Each sample is drawn once and simulated at every sibling's SNR;
-    the records come back grouped by condition, in the order given.
+
+def run_condition(conds, cfg: SimulationConfig, master_seed: int,
+                  block: range | None = None) -> list[SampleRecord]:
+    """Generate the samples of one condition, balanced across its labels.
+
+    ``conds`` is one condition or a scene family: conditions that differ
+    only in SNR, carrier and array size.  ``block`` selects which of the
+    family's sample indices to generate, all of them by default; a sample's
+    records do not depend on the block it is generated in.  Per sample, the
+    scene and its interaction uniforms are drawn once, and the paths are
+    built once per carrier (``ScenePaths`` shares their geometry and
+    steering); the channel and payload are drawn once per (carrier, array
+    size) and simulated at each SNR sibling's SNR.  The records come back
+    grouped by condition, in the order given.
     """
     family = (conds,) if isinstance(conds, ConditionSpec) else tuple(conds)
     head = family[0]
-    if any(_snr_free(c) != _snr_free(head) for c in family[1:]):
-        raise ValueError("conditions run together must differ only in SNR")
+    if any(_scene_key(c) != _scene_key(head) for c in family[1:]):
+        raise ValueError("conditions run together must differ only in SNR, "
+                         "carrier and array size")
     counts = balanced_partition(head.samples, head.labels)
-    class_order = list(cfg.campaign.classes)
+    labels = [label for label in head.labels for _ in range(counts[label])]
+    scene_cfgs = {label: SceneConfig(
+        geometry=cfg.link,
+        density_per_km3=0.0 if label == NO_DEBRIS_LABEL else head.density_per_km3,
+        semi_axes_km=cfg.scene.semi_axes(cfg.link.distance_km),
+        debris_class=None if label == NO_DEBRIS_LABEL else label,
+        debris_size_m=cfg.scene.debris_size_m) for label in head.labels}
+    # family positions by carrier, then by array size: the SNR siblings
+    siblings: dict[int, dict[int, list[int]]] = {}
+    for pos, cond in enumerate(family):
+        siblings.setdefault(cond.f_idx, {}).setdefault(cond.mimo_idx, []).append(pos)
     records: list[list[SampleRecord]] = [[] for _ in family]
-    sample_idx = 0
-    for label in head.labels:
-        for _ in range(counts[label]):
-            draw = draw_sample(head, label, sample_idx, cfg, master_seed,
-                               label_idx=class_order.index(label))
-            for cond, recs in zip(family, records):
-                recs.append(simulate_sample(cond, draw, cfg))
-            sample_idx += 1
+    for sample_idx in range(head.samples) if block is None else block:
+        label = labels[sample_idx]
+        key = (head.table_tag, head.density_idx,
+               cfg.campaign.classes.index(label), sample_idx)
+        scene = generate_scene(scene_cfgs[label], seed=int(
+            _rng(master_seed, _STREAM_SCENE, *key).integers(0, 2 ** 63)))
+        draws = interaction_draws(scene, _rng(master_seed, _STREAM_INTERACT, *key))
+        scene_paths = ScenePaths(scene, cfg.channel.spacing)
+        for by_size in siblings.values():
+            carrier = family[next(iter(by_size.values()))[0]]
+            grid = subband_grid(carrier.frequency_hz, cfg.channel.n_subbands,
+                                cfg.channel.bandwidth_hz)
+            flags: list[str] = []
+            paths = build_paths(
+                scene_paths, draw_interactions(scene, carrier.frequency_hz,
+                                               cfg.interactions, draws),
+                grid, cfg, flags)
+            for positions in by_size.values():
+                draw = draw_sample(family[positions[0]], label, key, scene_paths,
+                                   paths, flags, grid, cfg, master_seed)
+                for pos in positions:
+                    records[pos].append(simulate_sample(family[pos], draw, cfg))
     return [rec for recs in records for rec in recs]
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
+
+def train_rows(rows: int, train_fraction: float) -> int:
+    """How many of a class's ``rows`` a split trains on; the rest are held
+    out.  A split needs 1 <= train_rows < rows for every class."""
+    return int(round(train_fraction * rows))
+
+
+def check_splits(conditions, groups, train_fraction: float) -> None:
+    """Raise ConfigError, before any sample is drawn, if some evaluation
+    group could not be split: the rows each class would pool come from
+    ``balanced_partition`` over each of the group's conditions."""
+    by_id = {cond.condition_id: cond for cond in conditions}
+    for group in groups:
+        rows: Counter = Counter()
+        for cid in group.condition_ids:
+            cond = by_id[cid]
+            rows.update(balanced_partition(cond.samples, cond.labels))
+        for cls, n in rows.items():
+            if n and not 1 <= train_rows(n, train_fraction) < n:
+                raise ConfigError(
+                    f"evaluation group {group.group_id} cannot be split: class "
+                    f"{cls!r} has {n} rows, and train_fraction {train_fraction} "
+                    f"trains on {train_rows(n, train_fraction)} of them")
+
 
 def stratified_split(labels, train_fraction: float,
                      rng: np.random.Generator) -> tuple[list[int], list[int]]:
@@ -641,8 +750,8 @@ def stratified_split(labels, train_fraction: float,
     train, test = [], []
     for cls in sorted(set(labels)):
         idx = [i for i, lab in enumerate(labels) if lab == cls]
-        n_train = int(round(train_fraction * len(idx)))
-        if n_train < 1 or n_train >= len(idx):
+        n_train = train_rows(len(idx), train_fraction)
+        if not 1 <= n_train < len(idx):
             raise TrainingError(f"degenerate split for class {cls!r}: "
                                 f"{len(idx)} rows at fraction {train_fraction}")
         perm = rng.permutation(len(idx))
@@ -686,30 +795,29 @@ def evaluate_condition(records, split_seed: int,
                            classes=debris_classes),
             cfg.svm)
 
-    # annotate every record; accuracies use the held-out rows only
+    # annotate every record; accuracies use the held-out rows only.  Each
+    # machine scores all rows in one call; a row's scores do not depend on
+    # the batch.
+    values = det_model.decision_value(features).tolist()
+    cls_preds = None if cls_model is None else cls_model.predict(features)
     test_set = set(test_idx)
     det_hits = 0
     cls_hits = 0
     cls_total = 0
     annotations = []
     for i, rec in enumerate(records):
-        row = features[i]
-        value = det_model.decision_value(row)
-        detected = value >= 0.0
+        detected = values[i] >= 0.0
         pred = NO_DEBRIS_LABEL
-        if detected and cls_model is not None:
-            pred = cls_model.predict(row)
-        elif detected:
-            pred = debris_classes[0]
+        if detected:
+            pred = debris_classes[0] if cls_preds is None else cls_preds[i]
         annotations.append(RowAnnotation(
-            value, pred, "test" if i in test_set else "train"))
+            values[i], pred, "test" if i in test_set else "train"))
         if i in test_set:
             truth_detected = rec.label != NO_DEBRIS_LABEL
             det_hits += int(detected == truth_detected)
-            if truth_detected and cls_model is not None:
+            if truth_detected and cls_preds is not None:
                 cls_total += 1
-                cls_pred = pred if detected else cls_model.predict(row)
-                cls_hits += int(cls_pred == rec.label)
+                cls_hits += int(cls_preds[i] == rec.label)
 
     return MetricsSummary(
         mean_ber=float(np.mean([r.ber for r in records])),
@@ -732,6 +840,11 @@ METRICS_CSV_HEADER = ("condition_id,frequency_hz,mimo,snr_db,density,"
                       "mean_ber,ber_ci95,det_acc,cls_acc")
 
 
+# Simulation units per pool worker: with one block per family, a few
+# large families leave a worker idle at the end of the phase.
+_BLOCKS_PER_WORKER = 2
+
+
 @dataclass
 class CampaignResult:
     conditions: list
@@ -744,13 +857,18 @@ def run_campaign(cfg: SimulationConfig, master_seed: int,
                  threads: int = 1) -> CampaignResult:
     """Run every condition of the campaign grid and evaluate its groups.
 
-    The campaign runs in two phases through one mapper: a process pool's
-    ``map`` when ``threads > 1``, the builtin ``map`` otherwise.  First each
-    SNR family is one unit of work and is simulated; then each evaluation
-    group is one, and trains and scores its machines on the pooled records
-    of its conditions.  Results are taken in the order the work was given,
-    so the outputs do not depend on ``threads``.  The records come back as
-    simulated and the summaries as evaluated.
+    Every evaluation group is first checked to be splittable
+    (``check_splits``).  The campaign then runs in two phases through one
+    mapper: a process pool's ``map`` when ``threads > 1``, the builtin
+    ``map`` otherwise.  First the scene families are simulated, one block
+    of a family's samples per unit of work: the whole family when serial,
+    ``_BLOCKS_PER_WORKER`` blocks per worker when pooled, so that both
+    workers stay busy to the end.  Then each evaluation group is one unit,
+    and trains and scores its machines on the pooled records of its
+    conditions.  Results are taken in the order the work was given, so a
+    condition's records arrive in sample order and the outputs do not
+    depend on ``threads``.  The records come back as simulated and the
+    summaries as evaluated.
 
     An error in a pool worker is raised again in the caller, with its type
     and message, for the first failing unit in that order.  It is pickled on
@@ -760,12 +878,17 @@ def run_campaign(cfg: SimulationConfig, master_seed: int,
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     conditions, groups = enumerate_conditions(cfg)
+    check_splits(conditions, groups, cfg.svm.train_fraction)
+    blocks = 1 if threads == 1 else _BLOCKS_PER_WORKER * threads
+    families, family_blocks = zip(*[
+        (family, block) for family in scene_families(conditions)
+        for block in sample_blocks(family[0].samples, blocks)])
     records: dict[str, list] = {c.condition_id: [] for c in conditions}
     with (ProcessPoolExecutor(max_workers=threads) if threads > 1
           else contextlib.nullcontext()) as pool:
         mapper = map if pool is None else pool.map
-        for recs in mapper(run_condition, snr_families(conditions),
-                           itertools.repeat(cfg), itertools.repeat(master_seed)):
+        for recs in mapper(run_condition, families, itertools.repeat(cfg),
+                           itertools.repeat(master_seed), family_blocks):
             for rec in recs:
                 records[rec.condition_id].append(rec)
         summaries = dict(zip([group.group_id for group in groups], mapper(

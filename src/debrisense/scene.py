@@ -38,7 +38,7 @@ class Mechanism(enum.Enum):
     DIFFRACTION = "diffraction"
 
 
-# in the column order of draw_interactions' uniform draws
+# in the column order of interaction_draws' uniforms
 DEBRIS_MECHANISMS = (Mechanism.REFLECTION, Mechanism.SCATTERING,
                      Mechanism.DIFFRACTION)
 

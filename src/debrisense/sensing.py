@@ -141,18 +141,24 @@ class SvmModel:
     binary: BinarySvm | None = None
     multi: MultiClassSvm | None = None
 
-    def decision_value(self, row) -> float:
-        """The binary machine's decision on one raw feature row."""
+    def decision_value(self, rows):
+        """The binary machine's decision on raw feature rows: a float for one
+        row (1-D), an array for a batch of rows (2-D).  A row's value is
+        the same bits alone or in any batch."""
         if self.kind != "binary":
             raise ValueError("decision_value applies to binary models")
-        return float(self.binary.decision(self.scaler.transform(row))[0])
+        values = self.binary.decision(self.scaler.transform(rows))
+        return float(values[0]) if np.ndim(rows) == 1 else values
 
-    def predict(self, row) -> str:
-        """The class of one raw feature row."""
-        z = self.scaler.transform(row)
+    def predict(self, rows):
+        """The class of one raw feature row (1-D), or a list of the classes
+        of a batch of rows (2-D)."""
+        z = self.scaler.transform(rows)
         if self.kind == "binary":
-            return self.classes[int(self.binary.decision(z)[0] >= 0.0)]
-        return self.multi.predict(z)[0]
+            labels = [self.classes[int(v >= 0.0)] for v in self.binary.decision(z)]
+        else:
+            labels = self.multi.predict(z)
+        return labels[0] if np.ndim(rows) == 1 else labels
 
 
 def svm_train(dataset: LabeledDataset, settings: SvmSettings = SvmSettings()) -> SvmModel:

@@ -42,11 +42,24 @@ class KernelSpec:
             raise ValueError(f"unknown kernel {self.kind!r}")
 
     def matrix(self, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+        """K[i, j] = k(xa[i], xb[j]), from one matrix product."""
+        return self._from_products(xa @ xb.T, xa, xb)
+
+    def rowwise(self, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+        """K[i, j] = k(xa[i], xb[j]), each row from its own matrix-vector
+        product ``xb @ xa[i]``, so that a row's entries are the same bits
+        whatever other rows ``xa`` holds.  One matrix product could run as
+        a blocked gemm, whose sums differ from a gemv's in the last bits.
+        """
+        return self._from_products(np.matmul(xb, xa[:, :, None])[:, :, 0], xa, xb)
+
+    def _from_products(self, prod: np.ndarray, xa: np.ndarray,
+                       xb: np.ndarray) -> np.ndarray:
         if self.kind == "linear":
-            return xa @ xb.T
+            return prod
         sq = (np.sum(xa * xa, axis=1)[:, None]
               + np.sum(xb * xb, axis=1)[None, :]
-              - 2.0 * (xa @ xb.T))
+              - 2.0 * prod)
         return np.exp(-self.gamma * np.maximum(sq, 0.0))
 
 
@@ -84,9 +97,12 @@ class BinarySvm:
     bias: float = 0.0
 
     def decision(self, x: np.ndarray) -> np.ndarray:
+        """Decision values of the rows of ``x``.  Each row is scored by its
+        own kernel row and dot product, so its value is the same bits
+        alone or in any batch."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        k = self.kernel.matrix(self.support_x, x)
-        return (self.alpha * self.support_y) @ k + self.bias
+        k = self.kernel.rowwise(x, self.support_x)
+        return np.matmul(self.alpha * self.support_y, k[:, :, None])[:, 0] + self.bias
 
     def dual_objective(self) -> float:
         k = self.kernel.matrix(self.support_x, self.support_x)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from debrisense import cli
+from debrisense import cli, experiments
 from debrisense.cli import main
 from debrisense.configio import default_config, parse_config
 from debrisense.materials import DEFAULT_MATERIALS_TEXT
@@ -242,19 +242,24 @@ def test_bad_reproduce_counts_exit_2(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_degenerate_split_exits_3_at_any_thread_count(tmp_path, capsys, threads):
-    # a campaign of table 1's kind whose 0.95 split of 6 rows per class
-    # leaves no held-out row: the evaluation fails after simulation, in a
-    # pool worker when threads > 1
+def test_infeasible_split_exits_2_before_any_sample(tmp_path, capsys,
+                                                   monkeypatch, threads):
+    # 6 samples over three classes give 2 rows per class, and a 0.9 split
+    # of 2 rows trains on both: the config is refused before any sample is
+    # drawn, at any thread count, and the error names the class
+    def sample_drawn(*args, **kwargs):
+        raise AssertionError("a sample was drawn for a campaign that cannot be split")
+
+    monkeypatch.setattr(experiments, "run_condition", sample_drawn)
     cfg_path = tmp_path / "campaign.ini"
     cfg_path.write_text(CUSTOM_CONFIG.replace(
-        "kind = frequency_snr", "kind = density_frequency").replace(
         "samples_per_condition = 12", "samples_per_condition = 6")
-        + "\n[svm]\ntrain_fraction = 0.95\n", encoding="utf-8")
+        + "\n[svm]\ntrain_fraction = 0.9\n", encoding="utf-8")
     out = tmp_path / "sim"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
-                 "--threads", threads]) == 3
-    assert "degenerate split for class 'none'" in capsys.readouterr().err
+                 "--threads", threads]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "class 'none' has 2 rows" in err
     assert not out.exists()
 
 

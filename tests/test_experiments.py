@@ -10,13 +10,15 @@ import pytest
 
 from debrisense.channel import subband_grid
 from debrisense.configio import CAMPAIGN_KINDS, CampaignGrid, default_config
-from debrisense.errors import EqualizationError, TrainingError
-from debrisense.experiments import (_STREAM_SPLIT, Interaction,
+from debrisense import experiments
+from debrisense.errors import ConfigError, EqualizationError, TrainingError
+from debrisense.experiments import (_STREAM_SPLIT, Interaction, ScenePaths,
                                     balanced_partition, build_paths,
                                     draw_interactions, draw_link,
                                     enumerate_conditions, evaluate_condition,
-                                    run_campaign, run_condition,
-                                    simulate_sample, snr_families,
+                                    interaction_draws, run_campaign,
+                                    run_condition, sample_blocks,
+                                    scene_families, simulate_sample,
                                     table_config, trend_config,
                                     write_campaign_outputs,
                                     SAMPLE_CSV_HEADER, METRICS_CSV_HEADER)
@@ -79,8 +81,9 @@ class TestInteractions:
         table = replace(cfg.interactions, probabilities={
             key: tuple(0.0 for _ in probs)
             for key, probs in cfg.interactions.probabilities.items()})
-        out = draw_interactions(self.scene(), 3e12, table,
-                                np.random.default_rng(0))
+        scene = self.scene()
+        out = draw_interactions(scene, 3e12, table, interaction_draws(
+            scene, np.random.default_rng(0)))
         assert out == []
 
     def test_unit_probability_activates_every_mechanism(self):
@@ -89,7 +92,8 @@ class TestInteractions:
             key: tuple(1.0 for _ in probs)
             for key, probs in cfg.interactions.probabilities.items()})
         scene = self.scene()
-        out = draw_interactions(scene, 3e12, table, np.random.default_rng(0))
+        out = draw_interactions(scene, 3e12, table, interaction_draws(
+            scene, np.random.default_rng(0)))
         assert len(out) == 3 * len(scene.objects)
 
     def test_empirical_rates_match_table(self):
@@ -102,8 +106,8 @@ class TestInteractions:
         trials = 400
         hits = 0
         for s in range(trials):
-            out = draw_interactions(scene, f, cfg.interactions,
-                                    np.random.default_rng(s))
+            out = draw_interactions(scene, f, cfg.interactions, interaction_draws(
+                scene, np.random.default_rng(s)))
             hits += sum(1 for i in out if i.mechanism is Mechanism.REFLECTION)
         total = trials * n
         sigma = math.sqrt(total * p * (1 - p))
@@ -115,10 +119,11 @@ class TestInteractions:
         cfg = default_config()
         scene = self.scene(density=2e-5, seed=4)
         for seed in range(10):
+            draws = interaction_draws(scene, np.random.default_rng(seed))
             low = {(i.object_index, i.mechanism) for i in draw_interactions(
-                scene, 30e9, cfg.interactions, np.random.default_rng(seed))}
+                scene, 30e9, cfg.interactions, draws)}
             high = {(i.object_index, i.mechanism) for i in draw_interactions(
-                scene, 5e12, cfg.interactions, np.random.default_rng(seed))}
+                scene, 5e12, cfg.interactions, draws)}
             assert low <= high
 
 
@@ -166,6 +171,73 @@ class TestRunCondition:
         assert np.mean([r.ber for r in high]) < np.mean([r.ber for r in low])
 
 
+class TestSceneFamilies:
+    def test_families_differ_only_in_snr_carrier_and_size(self):
+        # table 2 sweeps carrier and SNR, table 3 carrier and array size:
+        # each is one family, in grid order
+        for which in (2, 3):
+            conds, _ = enumerate_conditions(table_config(which))
+            assert scene_families(conds) == [tuple(conds)]
+        # table 1: one family per (density, label) cell, one member per carrier
+        conds, _ = enumerate_conditions(table_config(1))
+        families = scene_families(conds)
+        assert [len(f) for f in families] == [4] * 7
+        assert sorted(c.condition_id for f in families for c in f) == \
+            sorted(c.condition_id for c in conds)
+        for family in families:
+            assert [c.frequency_hz for c in family] == [30e9, 300e9, 3e12, 5e12]
+            assert len({(c.density_per_km3, c.labels) for c in family}) == 1
+
+    def test_family_members_must_share_density_and_labels(self):
+        cfg = table_config(1, samples=6)
+        conds, _ = enumerate_conditions(cfg)
+        glass = [c for c in conds if c.labels == ("smooth_glass",)]
+        metal = [c for c in conds if c.labels == ("rough_metal",)]
+        mixed_density = (glass[0], next(c for c in glass
+                                         if c.density_idx != glass[0].density_idx))
+        for mixed in (mixed_density, (glass[0], metal[0])):
+            with pytest.raises(ValueError, match="SNR, carrier and array size"):
+                run_condition(mixed, cfg, master_seed=1)
+
+    def test_records_do_not_depend_on_blocking(self):
+        cfg = table_config(3, samples=6)
+        (family,) = scene_families(enumerate_conditions(cfg)[0])
+        whole = run_condition(family, cfg, master_seed=4)
+        halves = [run_condition(family, cfg, 4, block)
+                  for block in sample_blocks(6, 2)]
+        assert [len(h) for h in halves] == [36, 36]
+        by_condition = {}
+        for half in halves:
+            for rec in half:
+                by_condition.setdefault(rec.condition_id, []).append(rec)
+        assert [rec for recs in by_condition.values() for rec in recs] == whole
+
+    def test_scene_drawn_once_per_sample_of_a_family(self, monkeypatch):
+        # table 3's twelve conditions (4 carriers x 3 array sizes) share
+        # one scene per sample
+        scenes = []
+
+        def counting(*args, **kwargs):
+            scenes.append(1)
+            return generate_scene(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "generate_scene", counting)
+        cfg = table_config(3, samples=6)
+        records = {}
+        for family in scene_families(enumerate_conditions(cfg)[0]):
+            for rec in run_condition(family, cfg, master_seed=2):
+                records.setdefault(rec.condition_id, []).append(rec)
+        assert len(records) == 12
+        assert all(len(recs) == 6 for recs in records.values())
+        assert len(scenes) == 6
+
+    def test_sample_blocks_are_contiguous_and_balanced(self):
+        assert sample_blocks(10, 4) == [range(0, 3), range(3, 6),
+                                        range(6, 8), range(8, 10)]
+        assert sample_blocks(3, 4) == [range(0, 1), range(1, 2), range(2, 3)]
+        assert sample_blocks(7, 1) == [range(0, 7)]
+
+
 class TestSnrFamilies:
     @staticmethod
     def two_snr_cfg(samples):
@@ -173,29 +245,10 @@ class TestSnrFamilies:
         return replace(cfg, campaign=replace(cfg.campaign,
                                              snr_values_db=(5.0, 20.0)))
 
-    def test_families_group_conditions_differing_only_in_snr(self):
-        conds, _ = enumerate_conditions(table_config(2))
-        families = snr_families(conds)
-        assert [len(f) for f in families] == [4, 4, 4]
-        assert [c for f in families for c in f] == conds
-        for family in families:
-            assert len({c.frequency_hz for c in family}) == 1
-            assert [c.snr_db for c in family] == [5.0, 10.0, 15.0, 20.0]
-        conds3, _ = enumerate_conditions(table_config(3))
-        assert [len(f) for f in snr_families(conds3)] == [1] * 12
-
-    def test_family_members_must_share_everything_but_snr(self):
-        cfg = self.two_snr_cfg(samples=6)
-        conds, _ = enumerate_conditions(cfg)
-        f30 = [c for c in conds if c.frequency_hz == 30e9]
-        f3t = [c for c in conds if c.frequency_hz == 3e12]
-        with pytest.raises(ValueError, match="SNR"):
-            run_condition((f30[0], f3t[0]), cfg, master_seed=1)
-
     def test_condition_alone_matches_its_family_in_a_campaign(self):
         cfg = self.two_snr_cfg(samples=9)
         result = run_campaign(cfg, master_seed=3)
-        assert [len(f) for f in snr_families(result.conditions)] == [2, 2]
+        assert [len(f) for f in scene_families(result.conditions)] == [4]
         for cond in result.conditions:
             alone = run_condition(cond, cfg, master_seed=3)
             shared = result.records[cond.condition_id]
@@ -262,7 +315,8 @@ class TestPathGeometryFlow:
                                     scatter_azimuth=0.5)
                         for mech in (Mechanism.REFLECTION, Mechanism.SCATTERING)]
         flags = []
-        paths = build_paths(scene, interactions, grid, cfg, flags, 4)
+        paths = build_paths(ScenePaths(scene, cfg.channel.spacing),
+                            interactions, grid, cfg, flags)
         assert [p.mechanism for p in paths[1:]] == [Mechanism.REFLECTION,
                                                     Mechanism.SCATTERING]
         for path in paths[1:]:
@@ -499,13 +553,29 @@ class TestCampaignOutputs:
                     result.summaries[group.group_id].det_acc
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_evaluation_error_names_its_class_at_any_thread_count(self, threads):
-        # at 6 rows per class a 0.95 split leaves no held-out row; the error
-        # raised while evaluating a group in a pool worker keeps its message
+    def test_evaluation_error_names_its_class_at_any_thread_count(
+            self, monkeypatch, threads):
+        # at 6 rows per class a 0.95 split leaves no held-out row; the
+        # campaign is refused before any sample is drawn, naming the class
+        def sample_drawn(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(experiments, "run_condition", sample_drawn)
         cfg = table_config(1, samples=6)
         cfg = replace(cfg, svm=replace(cfg.svm, train_fraction=0.95))
-        with pytest.raises(TrainingError,
-                           match="degenerate split for class 'none'"):
+        with pytest.raises(ConfigError, match="class 'none' has 6 rows"):
+            run_campaign(cfg, master_seed=1, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_worker_error_keeps_its_message(self, threads):
+        # a K-factor table built in code bypasses the parser's checks; the
+        # first debris sample with more than one path raises, in a pool
+        # worker when threads > 1, and the caller sees the same error
+        cfg = tiny_cfg(samples=6)
+        cfg = replace(cfg, channel=replace(cfg.channel, k_factor_db={
+            cls: tuple(math.nan for _ in row)
+            for cls, row in cfg.channel.k_factor_db.items()}))
+        with pytest.raises(ValueError, match="K-factor must be finite"):
             run_campaign(cfg, master_seed=1, threads=threads)
 
     @pytest.mark.parametrize("threads", [1, 2])

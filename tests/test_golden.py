@@ -39,10 +39,12 @@ def test_reduced_campaign_matches_golden_digest(tmp_path, table, samples):
         f"(digest recorded with numpy {GOLDEN_NUMPY}, running {np.__version__})")
 
 
-def test_pooled_table1_matches_golden_digest(tmp_path):
-    # simulation and evaluation both run on the pool; the outputs must not
-    # depend on the worker count
-    reproduce_table(1, 7, tmp_path, threads=2, samples=24)
-    assert output_digest(tmp_path) == GOLDEN[(1, 24)], (
-        f"pooled outputs of table 1 at 24 samples changed "
+@pytest.mark.parametrize("table,samples", sorted(GOLDEN))
+def test_pooled_campaign_matches_golden_digest(tmp_path, table, samples):
+    # simulation and evaluation both run on the pool, which cuts every
+    # scene family into blocks of samples; the outputs must not depend on
+    # the worker count
+    reproduce_table(table, 7, tmp_path, threads=2, samples=samples)
+    assert output_digest(tmp_path) == GOLDEN[(table, samples)], (
+        f"pooled outputs of table {table} at {samples} samples changed "
         f"(digest recorded with numpy {GOLDEN_NUMPY}, running {np.__version__})")

@@ -176,6 +176,19 @@ class TestSvmTrainAndPredict:
             pb = model_b.predict(scaled[i])
             assert pa == pb
 
+    def test_batch_scores_match_single_rows(self):
+        # a batch is scored row by row: the same decision values, bit for
+        # bit, and the same labels as one row at a time
+        rng = np.random.default_rng(7)
+        ds = toy_dataset(rng, spread=1.5)
+        probe = rng.normal(size=(40, 5))
+        binary = svm_train(detection_dataset(ds))
+        values = binary.decision_value(probe)
+        assert values.tobytes() == np.array(
+            [binary.decision_value(row) for row in probe]).tobytes()
+        for model in (binary, svm_train(ds)):
+            assert model.predict(probe) == [model.predict(row) for row in probe]
+
     def test_single_class_dataset_rejected(self):
         ds = LabeledDataset(features=np.zeros((4, 5)), labels=("none",) * 4,
                             classes=("none", "debris"))

@@ -66,6 +66,25 @@ class TestSmoAgainstOracle:
         assert model.dual_objective() == pytest.approx(oracle_obj, rel=1e-3)
 
 
+class TestScoring:
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_row_scores_same_bits_alone_or_in_a_batch(self, kind):
+        # 168 support vectors and 240 rows, about one table 1 group: a row's
+        # decision value does not change in its last bit with the batch
+        rng = np.random.default_rng(5)
+        svm = BinarySvm(kernel=KernelSpec(kind, gamma=0.3 if kind == "rbf" else None),
+                        c=1.0, support_x=rng.normal(size=(168, 5)),
+                        support_y=rng.choice([-1.0, 1.0], size=168),
+                        alpha=rng.random(168), bias=0.25)
+        rows = rng.normal(size=(240, 5)) * 3.0
+        batch = svm.decision(rows)
+        alone = np.concatenate([svm.decision(row) for row in rows])
+        assert batch.tobytes() == alone.tobytes()
+        assert svm.decision(rows[::-1])[::-1].tobytes() == batch.tobytes()
+        gram = (svm.alpha * svm.support_y) @ svm.kernel.matrix(svm.support_x, rows)
+        np.testing.assert_allclose(batch, gram + svm.bias, rtol=1e-12, atol=1e-12)
+
+
 class TestTraining:
     def test_separable_blobs_perfect_training_accuracy(self):
         x, y = blobs(seed=1, sep=8.0)
