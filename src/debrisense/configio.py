@@ -32,12 +32,35 @@ NO_DEBRIS_LABEL = "none"
 # Campaign kind -> its tag in condition ids and seed streams.
 CAMPAIGN_KINDS = {"density_frequency": 1, "frequency_snr": 2, "mimo_frequency": 3,
                   "trend": 7}
+# Campaign kind -> the CampaignGrid lists it sweeps; every other list holds
+# exactly one value.
+CAMPAIGN_SWEEPS = {"density_frequency": ("frequencies_hz", "densities_per_km3"),
+                   "frequency_snr": ("frequencies_hz", "snr_values_db"),
+                   "mimo_frequency": ("frequencies_hz", "mimo_sizes"),
+                   "trend": ("frequencies_hz", "snr_values_db", "densities_per_km3")}
 MECHANISM_KEYS = tuple(mech.value for mech in DEBRIS_MECHANISMS)
 
 
 def _check_choice(name: str, value: str, allowed) -> None:
     if value not in allowed:
         raise ConfigError(f"{name} must be {'|'.join(allowed)}, got {value!r}")
+
+
+def _check_log_f_table(table: str, freqs, rows: dict,
+                       probabilities: bool = False) -> None:
+    """Check a per-class table over log-frequency breakpoints: finite, > 0,
+    sorted and non-empty breakpoints, and one finite value per breakpoint in
+    each row, a probability in [0, 1] if ``probabilities``."""
+    if not (freqs and all(0.0 < f < math.inf for f in freqs)
+            and sorted(freqs) == list(freqs)):
+        raise ConfigError(f"{table} breakpoints must be finite, > 0, sorted and "
+                          f"non-empty, got {freqs}")
+    for key, row in rows.items():
+        if len(row) != len(freqs) or not all(
+                0.0 <= v <= 1.0 if probabilities else math.isfinite(v) for v in row):
+            raise ConfigError(f"{table} row {key} needs one finite "
+                              f"{'probability in [0, 1]' if probabilities else 'value'}"
+                              f" per breakpoint, got {row}")
 
 
 def _interp_log_f(table: str, freqs, values, f_hz: float) -> float:
@@ -80,15 +103,8 @@ class InteractionTable:
     probabilities: dict  # (class, mechanism value) -> tuple[float, ...]
 
     def __post_init__(self):
-        freqs = list(self.frequencies_hz)
-        if sorted(freqs) != freqs or len(freqs) < 1:
-            raise ConfigError("interaction frequencies must be sorted and non-empty")
-        for key, probs in self.probabilities.items():
-            if len(probs) != len(freqs):
-                raise ConfigError(f"interaction row {key} has {len(probs)} entries, "
-                                  f"expected {len(freqs)}")
-            if any(not (0.0 <= p <= 1.0) for p in probs):
-                raise ConfigError(f"interaction row {key} has probabilities outside [0,1]")
+        _check_log_f_table("interaction table", self.frequencies_hz,
+                           self.probabilities, probabilities=True)
 
     def probability(self, debris_class: str, mechanism: Mechanism,
                     f_hz: float) -> float:
@@ -117,6 +133,17 @@ class ChannelConfig:
     k_factor_db: dict = field(default_factory=lambda: {
         "smooth_glass": (11.5, 13.0, 21.0, 21.0),
         "rough_metal": (10.5, 11.0, 11.0, 11.0)})
+
+    def __post_init__(self):
+        if not self.n_subbands >= 1:
+            raise ConfigError(f"n_subbands must be >= 1, got {self.n_subbands}")
+        if not 0.0 <= self.bandwidth_hz < math.inf:
+            raise ConfigError(f"bandwidth_hz must be finite and >= 0, "
+                              f"got {self.bandwidth_hz}")
+        if not 0.0 < self.spacing < math.inf:
+            raise ConfigError(f"spacing must be finite and > 0, got {self.spacing}")
+        _check_log_f_table("K-factor table", self.k_factor_frequencies_hz,
+                           self.k_factor_db)
 
     def k_factor(self, debris_class: str, f_hz: float) -> float:
         if debris_class not in self.k_factor_db:
@@ -167,10 +194,25 @@ class CampaignGrid:
     samples_per_condition: int = 200
 
     def __post_init__(self):
+        _check_choice("campaign kind", self.kind, CAMPAIGN_KINDS)
         for name in ("frequencies_hz", "snr_values_db", "mimo_sizes",
-                     "densities_per_km3", "classes"):
-            if not getattr(self, name):
+                     "densities_per_km3"):
+            values = getattr(self, name)
+            if not values:
                 raise ConfigError(f"campaign list {name} must be non-empty")
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"campaign list {name} must hold finite values, "
+                                  f"got {values}")
+            # condition and group ids print each value in :g form
+            if len({f"{v:g}" for v in values}) != len(values):
+                raise ConfigError(f"campaign list {name} repeats a value, got {values}")
+            if len(values) != 1 and name not in CAMPAIGN_SWEEPS[self.kind]:
+                raise ConfigError(f"campaign kind {self.kind} does not sweep {name}, "
+                                  f"so it must hold one value, got {values}")
+        if any(n < 1 for n in self.mimo_sizes):
+            raise ConfigError(f"mimo sizes must be positive, got {self.mimo_sizes}")
+        if any(d < 0.0 for d in self.densities_per_km3):
+            raise ConfigError(f"densities must be >= 0, got {self.densities_per_km3}")
         if len(set(self.classes)) != len(self.classes):
             raise ConfigError(f"campaign classes repeat a name: {', '.join(self.classes)}")
         if NO_DEBRIS_LABEL not in self.classes:
@@ -179,7 +221,6 @@ class CampaignGrid:
             raise ConfigError("campaign classes need at least one debris class")
         if self.samples_per_condition < 2 * len(self.classes):
             raise ConfigError("need >= 2 samples per class per condition")
-        _check_choice("campaign kind", self.kind, CAMPAIGN_KINDS)
 
 
 # Activation probabilities rise with frequency (shorter wavelengths make
@@ -342,20 +383,13 @@ def load_config(path) -> SimulationConfig:
 
 
 def _validate(cfg: SimulationConfig) -> None:
-    """Checks on a parsed config; LinkGeometry, InteractionTable, SvmSettings
-    and CampaignGrid also check their own fields on construction."""
-    if cfg.channel.n_subbands < 1:
-        raise ConfigError(f"n_subbands must be >= 1, got {cfg.channel.n_subbands}")
-    if not 0.0 <= cfg.channel.bandwidth_hz < math.inf:
-        raise ConfigError(f"bandwidth_hz must be finite and >= 0, "
-                          f"got {cfg.channel.bandwidth_hz}")
-    if not 0.0 < cfg.channel.spacing < math.inf:
-        raise ConfigError(f"spacing must be finite and > 0, got {cfg.channel.spacing}")
-    k_freqs = list(cfg.channel.k_factor_frequencies_hz)
-    if not k_freqs or sorted(k_freqs) != k_freqs:
-        raise ConfigError("k_factor_frequencies_hz must be sorted and non-empty")
-    if any(n < 1 for n in cfg.campaign.mimo_sizes):
-        raise ConfigError(f"mimo sizes must be positive, got {cfg.campaign.mimo_sizes}")
+    """The checks that read more than one section; every section's dataclass
+    checks its own fields on construction."""
+    # a sample's features are moments over its sub-band CSI entries
+    entries = cfg.channel.n_subbands * min(cfg.campaign.mimo_sizes) ** 2
+    if entries < 2:
+        raise ConfigError(f"a sample needs at least 2 CSI entries for its features, "
+                          f"got {entries} (n_subbands x mimo^2)")
     # a sample evaluates its paths at each sub-band centre of its carrier
     centres = [float(f) for carrier in cfg.campaign.frequencies_hz
                for f in subband_grid(carrier, cfg.channel.n_subbands,
@@ -371,9 +405,6 @@ def _validate(cfg: SimulationConfig) -> None:
             raise ConfigError(f"class {cls!r} has no material definition")
         if cls not in cfg.channel.k_factor_db:
             raise ConfigError(f"class {cls!r} has no K-factor row")
-        if len(cfg.channel.k_factor_db[cls]) != len(cfg.channel.k_factor_frequencies_hz):
-            raise ConfigError(f"K-factor row for {cls!r} does not match its "
-                              "frequency breakpoints")
         for mech in MECHANISM_KEYS:
             if (cls, mech) not in cfg.interactions.probabilities:
                 raise ConfigError(f"class {cls!r} missing interaction row {mech}")

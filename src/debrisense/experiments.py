@@ -33,7 +33,6 @@ accuracies onto conditions.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import math
 from collections import Counter
@@ -357,18 +356,19 @@ def interaction_geometry(scene: DebrisScene, object_index: int,
                         mechanism=mechanism)
 
 
-def _path_gain(geom: PathGeometry, f_hz: float, material, pol: Polarization,
-               scatter_azimuth: float) -> complex:
-    s1_m, s2_m = geom.s1_km * 1e3, geom.s2_km * 1e3
+def _transfer_function(geom: PathGeometry, material, pol: Polarization,
+                       scatter_azimuth: float):
+    """The path's transfer function of frequency, with its lengths in metres
+    and its scattering angles resolved once for all of its sub-bands."""
+    s1_m, s2_m, d_m = geom.s1_km * 1e3, geom.s2_km * 1e3, geom.d_km * 1e3
     if geom.mechanism is Mechanism.REFLECTION:
-        return reflected_response(f_hz, s1_m, s2_m, geom.d_km * 1e3, material, pol)
+        return lambda f: reflected_response(f, s1_m, s2_m, d_m, material, pol)
     if geom.mechanism is Mechanism.SCATTERING:
         sgeom = ScatterGeometry(theta1=geom.incidence_angle_rad,
                                 theta2=geom.incidence_angle_rad,
                                 theta3=scatter_azimuth)
-        return scattered_response(f_hz, s1_m, s2_m, geom.d_km * 1e3, sgeom,
-                                  material, pol)
-    return diffracted_response(f_hz, s1_m, s2_m, geom.clearance_m)
+        return lambda f: scattered_response(f, s1_m, s2_m, d_m, sgeom, material, pol)
+    return lambda f: diffracted_response(f, s1_m, s2_m, geom.clearance_m)
 
 
 class ScenePaths:
@@ -451,11 +451,11 @@ def build_paths(scene_paths: ScenePaths, interactions, grid,
         if geom is None:
             flags.append("diff_skip")
             continue
+        transfer = _transfer_function(geom, material, pol, inter.scatter_azimuth)
         gains = []
         for f in freqs:
             try:
-                gains.append(_path_gain(geom, f, material, pol,
-                                        inter.scatter_azimuth))
+                gains.append(transfer(f))
             except DebrisenseError:
                 gains.append(None)
                 flags.append(error_flag)
@@ -509,7 +509,9 @@ def draw_sample(cond: ConditionSpec, label: str, sample_key: tuple,
                 scene_paths: ScenePaths, paths, flags, grid,
                 cfg: SimulationConfig, master_seed: int) -> SampleDraw:
     """Sub-band channels and payload of one sample at ``cond``'s carrier and
-    array size, from the ``paths`` built at that carrier.
+    array size, from the ``paths`` built at that carrier.  A sub-band that
+    more than one path reaches gets Rician small-scale fading at the label's
+    K-factor at the carrier.
 
     ``sample_key`` is the sample's (table tag, density index, label index,
     sample index); the fading and noise streams add the array size, and
@@ -520,34 +522,19 @@ def draw_sample(cond: ConditionSpec, label: str, sample_key: tuple,
     fading_rng = _rng(master_seed, _STREAM_FADING, *sample_key, cond.mimo_idx)
     noise_rng = _rng(master_seed, _STREAM_NOISE, tag, cond.f_idx, density_idx,
                      label_idx, sample_idx, cond.mimo_idx)
-    channel = _subband_channels(
-        paths, [scene_paths.steering(p.object_index, n) for p in paths],
-        grid, n, cfg.link.velocity_m_s,
-        functools.partial(cfg.channel.k_factor, label, cond.frequency_hz),
-        fading_rng)
-    lengths = balanced_partition(cfg.linksim.frame_symbols,
-                                 range(cfg.channel.n_subbands)).values()
-    return draw_link(sample_idx, label, tuple(flags), channel, lengths, noise_rng)
-
-
-def _subband_channels(paths, steering, grid, n_antennas: int,
-                      velocity_m_s: float, k_factor_db,
-                      fading_rng) -> np.ndarray:
-    """The (S, N, N) stack of a sample's sub-band channel matrices.
-
-    ``steering`` holds each path's N x N steering matrix.  A sub-band that
-    more than one path reaches gets Rician small-scale fading at the
-    K-factor ``k_factor_db()``.
-    """
-    channel = np.empty((len(grid), n_antennas, n_antennas), dtype=complex)
+    steering = [scene_paths.steering(p.object_index, n) for p in paths]
+    channel = np.empty((len(grid), n, n), dtype=complex)
     for k, f_k in enumerate(grid):
         terms = [(p.gains[k], a) for p, a in zip(paths, steering)
                  if p.gains[k] is not None]
-        h = assemble_subband(terms, n_antennas, float(f_k), velocity_m_s)
-        if len(terms) > 1:
-            h = apply_rician_smallscale(h, k_factor_db(), fading_rng)
+        h = assemble_subband(terms, n, float(f_k), cfg.link.velocity_m_s)
+        if len(terms) > 1:  # so the no-debris label reads no K-factor row
+            h = apply_rician_smallscale(
+                h, cfg.channel.k_factor(label, cond.frequency_hz), fading_rng)
         channel[k] = h
-    return channel
+    lengths = balanced_partition(cfg.linksim.frame_symbols,
+                                 range(cfg.channel.n_subbands)).values()
+    return draw_link(sample_idx, label, tuple(flags), channel, lengths, noise_rng)
 
 
 def draw_link(sample_idx: int, label: str, flags: tuple[str, ...],

@@ -6,6 +6,15 @@ piecewise knife-edge diffraction and the Doppler phase factor.  Molecular
 absorption is taken as unity: at LEO altitudes the water/oxygen content is
 negligible across the band of interest.
 
+Every path's transfer function has one form: the free-space amplitude
+c/(4*pi*f*L) of its unfolded length L, times its interaction coefficient
+(1 for the line of sight, the roughness-damped Fresnel coefficient for
+reflection, the Beckmann-Kirchhoff coefficient for scattering, the
+knife-edge loss for diffraction), times the phase exp(-2j*pi*f*tau) of its
+delay tau = (L + excess)/c, where only diffraction has an excess path.
+Reflection and scattering damp with one Rayleigh exponent
+g = (4*pi*sigma*cos(theta)/lambda)^2.
+
 All functions are pure; phases of delay and Doppler terms are wrapped to
 the principal value before exponentiation so that multi-gigacycle phase
 arguments do not lose the complex value to floating-point cancellation.
@@ -25,14 +34,13 @@ import cmath
 import enum
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import (FREE_SPACE_IMPEDANCE, SPEED_OF_LIGHT,
                         VACUUM_PERMEABILITY, VACUUM_PERMITTIVITY)
-from .errors import GrazingGeometryError, ConvergenceWarning
+from .errors import GrazingGeometryError
 from .materials import MaterialProperties
 from .scene import diffraction_excess_path, incidence_angle
 
@@ -81,11 +89,19 @@ def doppler_factor(f_hz: float, v_m_s: float) -> complex:
     return wrapped_phase_factor(f_hz * v_m_s / SPEED_OF_LIGHT)
 
 
+def _path_transfer(f_hz: float, length_m: float, interaction) -> complex:
+    """FSPL of the unfolded ``length_m`` x coefficient x phase of the delay over
+    ``length_m`` + excess, with (coefficient, excess in m) = ``interaction()``
+    evaluated once ``fspl_amplitude`` has checked the frequency and length."""
+    amp = fspl_amplitude(f_hz, length_m)
+    coefficient, excess_m = interaction()
+    tau = (length_m + excess_m) / SPEED_OF_LIGHT
+    return amp * coefficient * wrapped_phase_factor(f_hz * tau)
+
+
 def los_response(f_hz: float, distance_m: float) -> complex:
     """Direct-path transfer function: FSPL amplitude and delay phase."""
-    amp = fspl_amplitude(f_hz, distance_m)
-    tau = distance_m / SPEED_OF_LIGHT
-    return amp * wrapped_phase_factor(f_hz * tau)
+    return _path_transfer(f_hz, distance_m, lambda: (1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +170,17 @@ def fresnel_coefficients(f_hz: float, theta_i: float,
             _fresnel(f_hz, theta_i, material, Polarization.TM))
 
 
+def _rayleigh_exponent(f_hz: float, sigma_m: float, theta_i: float) -> float:
+    """Rayleigh roughness exponent g = (4*pi*sigma*cos(theta)/lambda)^2."""
+    lam = SPEED_OF_LIGHT / f_hz
+    return (4.0 * math.pi * sigma_m * math.cos(theta_i) / lam) ** 2
+
+
 def roughness_coefficient(f_hz: float, sigma_m: float, theta_i: float) -> float:
-    """Rayleigh roughness attenuation exp(-g/2), g = (4*pi*sigma*cos(theta)/lambda)^2."""
+    """Rayleigh roughness attenuation exp(-g/2)."""
     if sigma_m < 0:
         raise ValueError(f"surface sigma must be >= 0, got {sigma_m}")
-    lam = SPEED_OF_LIGHT / f_hz
-    g = (4.0 * math.pi * sigma_m * math.cos(theta_i) / lam) ** 2
-    return math.exp(-0.5 * g)
+    return math.exp(-0.5 * _rayleigh_exponent(f_hz, sigma_m, theta_i))
 
 
 def reflection_coefficient(f_hz: float, theta_i: float,
@@ -179,12 +199,8 @@ def reflected_response(f_hz: float, s1_m: float, s2_m: float, d_m: float,
     Magnitude is the FSPL of the unfolded path times |R|; the delay is the
     direct-path delay plus the geometric excess.
     """
-    total = s1_m + s2_m
-    amp = fspl_amplitude(f_hz, total)
-    theta_i = incidence_angle(s1_m, s2_m, d_m)
-    r = reflection_coefficient(f_hz, theta_i, material, pol)
-    tau = total / SPEED_OF_LIGHT
-    return amp * r * wrapped_phase_factor(f_hz * tau)
+    return _path_transfer(f_hz, s1_m + s2_m, lambda: (reflection_coefficient(
+        f_hz, incidence_angle(s1_m, s2_m, d_m), material, pol), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +209,9 @@ def reflected_response(f_hz: float, s1_m: float, s2_m: float, d_m: float,
 
 SERIES_MAX_TERMS = 200
 SERIES_REL_TOL = 1e-10
-SERIES_WARN_TOL = 1e-6
+# A forward sum that reaches the term cap is kept if its last term adds at
+# most this much of the sum, and summed again about its largest term if not.
+SERIES_CAP_TOL = 1e-6
 
 
 @functools.lru_cache(maxsize=16)
@@ -204,24 +222,49 @@ def _series_constants(max_terms: int) -> tuple[tuple[float, ...], tuple[float, .
             (0.0, *(math.log(m) for m in ms)))
 
 
-def scattering_series_sum(g_sca: float, vxy_sq_lcorr_sq: float,
-                          max_terms: int = SERIES_MAX_TERMS) -> float:
-    """Diffuse-lobe series  sum_m g^m/(m!*m) * exp(-vxy^2*lcorr^2/(4m)).
+def _log_series_window(g_sca: float, vxy_sq_lcorr_sq: float) -> float:
+    """Log of the diffuse-lobe series, summed about its largest term.
 
-    Evaluated in log space (terms overflow float64 long before convergence
-    for rough surfaces).  Truncates once the next term's relative
-    contribution drops below SERIES_REL_TOL; hitting ``max_terms`` with a
-    relative term above SERIES_WARN_TOL emits a ConvergenceWarning.
+    The terms are Poisson-shaped in m about m ~ g, so the sum is taken over
+    a window m in g +- c*sqrt(g): from the largest term, found by stepping
+    from m = round(g), outwards each way until the terms no longer change
+    the sum.
     """
-    if g_sca < 0:
-        raise ValueError(f"roughness factor must be >= 0, got {g_sca}")
+    log_g = math.log(g_sca)
+
+    def log_term(m: int) -> float:
+        return (m * log_g - math.lgamma(m + 1) - math.log(m)
+                - vxy_sq_lcorr_sq / (4.0 * m))
+
+    peak = max(1, round(g_sca))
+    while log_term(peak + 1) > log_term(peak):
+        peak += 1
+    while peak > 1 and log_term(peak - 1) > log_term(peak):
+        peak -= 1
+    top = log_term(peak)
+    total = 1.0  # the sum over the terms, relative to the largest
+    for step in (-1, 1):
+        m = peak + step
+        while m >= 1:
+            rel = math.exp(log_term(m) - top)
+            if total + rel == total:
+                break
+            total += rel
+            m += step
+    return top + math.log(total)
+
+
+def _log_series_sum(g_sca: float, vxy_sq_lcorr_sq: float, max_terms: int) -> float:
+    """Log of ``scattering_series_sum`` (-inf at g = 0), which stays finite
+    where the sum itself overflows a float."""
+    if not 0.0 <= g_sca < math.inf:
+        raise ValueError(f"roughness factor must be finite and >= 0, got {g_sca}")
     if g_sca == 0.0:
-        return 0.0
+        return -math.inf
     lgamma_m1, log_m = _series_constants(max_terms)
     exp, log = math.exp, math.log
     log_g = log(g_sca)
     log_sum = None
-    last_rel = math.inf
     for m in range(1, max_terms + 1):
         log_term = (m * log_g - lgamma_m1[m] - log_m[m]
                     - vxy_sq_lcorr_sq / (4.0 * m))
@@ -236,13 +279,24 @@ def scattering_series_sum(g_sca: float, vxy_sq_lcorr_sq: float,
         last_rel = exp(log_term - log_sum)
         if last_rel < SERIES_REL_TOL:
             break
-    else:
-        if last_rel > SERIES_WARN_TOL:
-            # fixed text so the default warning filter deduplicates it
-            warnings.warn(
-                f"scattering series hit the {max_terms}-term cap before the "
-                f"{SERIES_WARN_TOL:g} relative tolerance", ConvergenceWarning)
-    return math.exp(log_sum)
+    if last_rel > SERIES_CAP_TOL:
+        return _log_series_window(g_sca, vxy_sq_lcorr_sq)
+    return log_sum
+
+
+def scattering_series_sum(g_sca: float, vxy_sq_lcorr_sq: float,
+                          max_terms: int = SERIES_MAX_TERMS) -> float:
+    """Diffuse-lobe series  sum_m g^m/(m!*m) * exp(-vxy^2*lcorr^2/(4m)).
+
+    Evaluated in log space (terms overflow float64 long before convergence
+    for rough surfaces).  Summed forward from m = 1, truncated once the
+    next term's relative contribution drops below SERIES_REL_TOL; a series
+    whose last term at ``max_terms`` still adds more than SERIES_CAP_TOL of
+    the sum is summed again over the window about its largest term.  A sum
+    beyond the float range (from g of about 700) raises OverflowError;
+    ``scattering_coefficient`` reads its log instead.
+    """
+    return math.exp(_log_series_sum(g_sca, vxy_sq_lcorr_sq, max_terms))
 
 
 def _sinc(t: float) -> float:
@@ -282,11 +336,14 @@ def scattering_coefficient(f_hz: float, geom: ScatterGeometry,
     sigma = material.roughness_sigma_m
     g_sca = (k * sigma * (c1 + c2)) ** 2
     lcorr = material.correlation_length_m
-    series = scattering_series_sum(g_sca, vxy_sq * lcorr * lcorr, max_terms)
-    diffuse = math.pi * lcorr * lcorr * f_geom * f_geom / material.facet_area_m2 * series
-
-    g_rayleigh = (4.0 * math.pi * sigma * c1 / lam) ** 2
-    bracket = (rho0 * rho0 + diffuse) * math.exp(-g_rayleigh)
+    log_series = _log_series_sum(g_sca, vxy_sq * lcorr * lcorr, max_terms)
+    weight = math.pi * lcorr * lcorr * f_geom * f_geom / material.facet_area_m2
+    g_rayleigh = _rayleigh_exponent(f_hz, sigma, geom.theta1)
+    try:
+        bracket = (rho0 * rho0 + weight * math.exp(log_series)) * math.exp(-g_rayleigh)
+    except OverflowError:  # the series overflows a float; its attenuation brings it back
+        bracket = ((rho0 * rho0 * math.exp(-log_series) + weight)
+                   * math.exp(log_series - g_rayleigh))
 
     gamma = _fresnel(f_hz, geom.theta1, material, pol)
     return gamma * math.sqrt(bracket)
@@ -296,11 +353,8 @@ def scattered_response(f_hz: float, s1_m: float, s2_m: float, d_m: float,
                        geom: ScatterGeometry, material: MaterialProperties,
                        pol: Polarization) -> complex:
     """Scattered-path transfer function; same FSPL/delay structure as reflection."""
-    total = s1_m + s2_m
-    amp = fspl_amplitude(f_hz, total)
-    s = scattering_coefficient(f_hz, geom, material, pol)
-    tau = total / SPEED_OF_LIGHT
-    return amp * s * wrapped_phase_factor(f_hz * tau)
+    return _path_transfer(f_hz, s1_m + s2_m, lambda: (
+        scattering_coefficient(f_hz, geom, material, pol), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +396,6 @@ def diffracted_response(f_hz: float, s1_m: float, s2_m: float, h_d_m: float,
     obstruction, so the baseline delay is (s1+s2)/c and the detour adds
     the quadratic excess of the clearance.
     """
-    total = s1_m + s2_m
-    amp = fspl_amplitude(f_hz, total)
-    v = fresnel_kirchhoff_parameter(h_d_m, f_hz, s1_m, s2_m)
-    loss = diffraction_loss(v, *mu)
-    delta_m = diffraction_excess_path(h_d_m, s1_m * 1e-3, s2_m * 1e-3)
-    tau = (total + delta_m) / SPEED_OF_LIGHT
-    return amp * loss * wrapped_phase_factor(f_hz * tau)
+    return _path_transfer(f_hz, s1_m + s2_m, lambda: (
+        diffraction_loss(fresnel_kirchhoff_parameter(h_d_m, f_hz, s1_m, s2_m), *mu),
+        diffraction_excess_path(h_d_m, s1_m * 1e-3, s2_m * 1e-3)))

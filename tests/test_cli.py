@@ -121,8 +121,21 @@ def test_bad_array_or_subband_setting_exits_2(tmp_path, capsys, setting):
     ("frequencies_hz = 30e9", "frequencies_hz = 20e9"),
     ("n_subbands = 4", "n_subbands = 4\nbandwidth_hz = 1e11"),
     ("n_subbands = 4", "n_subbands = 4\nbandwidth_hz = 4e10"),
+    ("n_subbands = 4", "n_subbands = 4\nk_factor_db_smooth_glass = nan, 13, 21, 21"),
+    ("n_subbands = 4", "n_subbands = 4\nk_factor_db_smooth_glass = inf, 13, 21, 21"),
+    ("n_subbands = 4", "n_subbands = 4\nk_factor_frequencies_hz = 30e9, nan, 3e12, 5e12"),
+    ("[channel]", "[interactions]\nfrequencies_hz = 30e9, 300e9, nan, 5e12\n[channel]"),
+    ("snr_db = 15", "snr_db = 5, 5"),
+    ("frequencies_hz = 30e9", "frequencies_hz = 3e12, 3e12"),
+    ("snr_db = 15", "snr_db = nan"),
+    ("mimo = 4", "mimo = 4, 16"),
+    ("kind = frequency_snr\nfrequencies_hz = 30e9\nsnr_db = 15",
+     "kind = mimo_frequency\nfrequencies_hz = 30e9\nsnr_db = 15, 20"),
 ], ids=["minor_axis_nan", "size_zero", "tolerance_nan", "frequency_uncovered",
-        "subband_below_zero", "subband_below_tables"])
+        "subband_below_zero", "subband_below_tables", "k_factor_nan",
+        "k_factor_inf", "k_factor_breakpoint_nan", "interaction_breakpoint_nan",
+        "snr_repeated", "frequency_repeated", "snr_nan", "mimo_not_swept",
+        "snr_not_swept"])
 def test_bad_setting_exits_2_before_any_sample(tmp_path, capsys, monkeypatch,
                                                setting):
     def campaign_started(*args, **kwargs):

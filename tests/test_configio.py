@@ -161,6 +161,36 @@ class TestValidation:
         "[svm]\ntolerance = -1\n",
         "[svm]\ntolerance = 0\n",
         "[svm]\ntolerance = inf\n",
+        # every per-class frequency table is finite where it is built, so a
+        # sample never reads a NaN K-factor or activation probability
+        "[channel]\nk_factor_db_smooth_glass = nan, 13, 21, 21\n",
+        "[channel]\nk_factor_db_smooth_glass = inf, 13, 21, 21\n",
+        "[channel]\nk_factor_db_smooth_glass = 11.5, 13, 21\n",
+        "[channel]\nk_factor_frequencies_hz = 30e9, nan, 3e12, 5e12\n",
+        "[channel]\nk_factor_frequencies_hz = 0, 300e9, 3e12, 5e12\n",
+        "[interactions]\nfrequencies_hz = 30e9, 300e9, nan, 5e12\n",
+        "[interactions]\nfrequencies_hz = -30e9, 300e9, 3e12, 5e12\n",
+        "[interactions]\nsmooth_glass_reflection = 0.05, nan, 0.55, 0.80\n",
+        # a campaign list runs as written: finite, distinct values, and one
+        # value on a list that its kind does not sweep
+        "[campaign]\nsnr_db = 5, 5\n",
+        "[campaign]\nfrequencies_hz = 3e12, 3e12\n",
+        "[campaign]\nsnr_db = nan\n",
+        "[campaign]\nsnr_db = 5, inf\n",
+        "[campaign]\ndensities_per_km3 = nan\n",
+        "[campaign]\ndensities_per_km3 = -1e-6\n",
+        "[campaign]\nmimo = 4, 16\n",
+        "[campaign]\nkind = frequency_snr\nsnr_db = 15\ndensities_per_km3 = 1e-6, 1e-7\n",
+        "[campaign]\nkind = mimo_frequency\nmimo = 4, 16\n",
+        "[campaign]\nkind = density_frequency\ndensities_per_km3 = 1e-6, 1e-7\n",
+        "[campaign]\nkind = trend\nmimo = 4, 16\n",
+        # the grid every kind once ran with: two SNRs and two densities
+        "[campaign]\nkind = density_frequency\nsnr_db = 15, 20\n"
+        "densities_per_km3 = 1e-6, 1e-7\n",
+        "[campaign]\nkind = mimo_frequency\nsnr_db = 15, 20\n"
+        "densities_per_km3 = 1e-6, 1e-7\n",
+        "[campaign]\nkind = frequency_snr\nsnr_db = 15, 20\n"
+        "densities_per_km3 = 1e-6, 1e-7\n",
     ])
     def test_bad_values_rejected(self, text):
         with pytest.raises(ConfigError):

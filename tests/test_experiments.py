@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from debrisense.channel import subband_grid
-from debrisense.configio import CAMPAIGN_KINDS, CampaignGrid, default_config
+from debrisense.configio import (CAMPAIGN_KINDS, CAMPAIGN_SWEEPS, CampaignGrid,
+                                 default_config)
 from debrisense import experiments
 from debrisense.errors import ConfigError, EqualizationError, TrainingError
 from debrisense.experiments import (_STREAM_SPLIT, Interaction, ScenePaths,
@@ -568,13 +569,13 @@ class TestCampaignOutputs:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_worker_error_keeps_its_message(self, threads):
-        # a K-factor table built in code bypasses the parser's checks; the
-        # first debris sample with more than one path raises, in a pool
-        # worker when threads > 1, and the caller sees the same error
+        # a NaN K-factor table cannot be built, so one is set on a built
+        # config; the first debris sample with more than one path raises, in
+        # a pool worker when threads > 1, and the caller sees the same error
         cfg = tiny_cfg(samples=6)
-        cfg = replace(cfg, channel=replace(cfg.channel, k_factor_db={
+        object.__setattr__(cfg.channel, "k_factor_db", {
             cls: tuple(math.nan for _ in row)
-            for cls, row in cfg.channel.k_factor_db.items()}))
+            for cls, row in cfg.channel.k_factor_db.items()})
         with pytest.raises(ValueError, match="K-factor must be finite"):
             run_campaign(cfg, master_seed=1, threads=threads)
 
@@ -614,11 +615,14 @@ class TestCampaignOutputs:
     @pytest.mark.parametrize("kind", sorted(CAMPAIGN_KINDS))
     def test_plot_rows_have_unique_keys(self, tmp_path, kind):
         # one value per (x, series) point: the trend's density-comparison
-        # leg shares its frequency and SNR with a main-grid condition
+        # leg shares its frequency and SNR with a main-grid condition.  Each
+        # list the kind sweeps holds two values, every other list one.
+        two = {"snr_values_db": (15.0, 20.0), "mimo_sizes": (4, 2),
+               "densities_per_km3": (1e-6, 1e-7)}
         cfg = tiny_cfg(samples=9, kind=kind)
-        cfg = replace(cfg, campaign=replace(
-            cfg.campaign, snr_values_db=(15.0, 20.0),
-            densities_per_km3=(1e-6, 1e-7)))
+        cfg = replace(cfg, campaign=replace(cfg.campaign, **{
+            name: values for name, values in two.items()
+            if name in CAMPAIGN_SWEEPS[kind]}))
         write_campaign_outputs(run_campaign(cfg, master_seed=5), cfg, tmp_path)
         for name in ("plot_ber.csv", "plot_detection_accuracy.csv",
                      "plot_classification_accuracy.csv"):

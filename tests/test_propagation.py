@@ -6,7 +6,9 @@ checked against explicit factor-by-factor recomputation.
 """
 
 import cmath
+import dataclasses
 import math
+import sys
 import warnings
 
 import mpmath
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_reference as ref
+from debrisense.channel import subband_grid
 from debrisense.constants import FREE_SPACE_IMPEDANCE, SPEED_OF_LIGHT
 from debrisense.errors import (ConvergenceWarning, GrazingGeometryError,
                                MaterialError)
@@ -31,6 +34,7 @@ from debrisense.propagation import (Polarization, ScatterGeometry, _sinc,
                                     scattered_response, scattering_coefficient,
                                     scattering_series_sum, wave_impedance,
                                     wrapped_phase_factor)
+from debrisense.scene import incidence_angle, path_lengths, perpendicular_clearance
 
 GLASS = default_materials()["smooth_glass"]
 METAL = default_materials()["rough_metal"]
@@ -39,6 +43,21 @@ MIXED = MaterialProperties(
     alpha_table=((100e9, 100.0), (550e9, 900.0), (1e12, 300.0)),
     roughness_sigma_m=5e-6, correlation_length_m=500e-6,
     facet_lx_m=0.1, facet_ly_m=0.1)
+
+
+def direct_log_series(g, vxy2l2):
+    """Log of the diffuse-lobe series summed term by term at 40 digits, over
+    every m <= g + 40 sqrt(g) + 100."""
+    with mpmath.workdps(40):
+        g_mp, a_mp = mpmath.mpf(g), mpmath.mpf(vxy2l2)
+        top = int(g + 40.0 * math.sqrt(g)) + 100
+        return float(mpmath.log(mpmath.fsum(
+            g_mp ** m / (mpmath.factorial(m) * m) * mpmath.exp(-a_mp / (4 * m))
+            for m in range(1, top + 1))))
+
+
+def direct_series_sum(g, vxy2l2):
+    return math.exp(direct_log_series(g, vxy2l2))
 
 
 def lossless(n, sigma=0.0):
@@ -319,15 +338,27 @@ class TestScatteringSeries:
     @pytest.mark.parametrize("g,vxy2l2", [(0.5, 0.0), (1.0, 2.0), (10.0, 1.0),
                                           (80.0, 5.0), (120.0, 0.5)])
     def test_doubling_cap_changes_nothing(self, g, vxy2l2):
-        # points where the series converges under the default cap; beyond
-        # that regime the cap applies and a ConvergenceWarning is attached
+        # points where the series converges under the default cap
         a = scattering_series_sum(g, vxy2l2, max_terms=200)
         b = scattering_series_sum(g, vxy2l2, max_terms=400)
         assert abs(a - b) <= 1e-9 * abs(b)
 
-    def test_nonconvergence_warns(self):
-        with pytest.warns(ConvergenceWarning):
-            scattering_series_sum(400.0, 0.0, max_terms=100)
+    @pytest.mark.parametrize("g,vxy2l2,max_terms", [
+        (120.0, 0.5, 100), (250.0, 40.0, 100), (400.0, 0.0, 100),
+        (439.0, 0.0, 200), (439.0, 2600.0, 200), (439.0, 1e5, 400),
+        (700.0, 10.0, 200), (20.0, 4e4, 60), (0.5, 1e4, 20)])
+    def test_capped_series_matches_direct_sum(self, g, vxy2l2, max_terms):
+        # the forward sum stops at its cap well short of convergence here
+        # (at g = 439, v = 0, rough metal at 5 THz, its log is 348.98 against
+        # the series' 432.92; the last two peak far above m = g); the sum
+        # over the window about its largest term is the full series
+        got = scattering_series_sum(g, vxy2l2, max_terms)
+        assert got == pytest.approx(direct_series_sum(g, vxy2l2), rel=1e-10)
+
+    def test_invalid_roughness_factor_rejected(self):
+        for g in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                scattering_series_sum(g, 0.0)
 
 
 class TestKernelsMatchReference:
@@ -381,17 +412,18 @@ class TestKernelsMatchReference:
                                           (120.0, 0.5), (250.0, 40.0),
                                           (400.0, 0.0), (439.0, 0.0)])
     def test_series_matches_per_term_constants(self, g, vxy2l2, max_terms):
+        # where the per-term loop converged it gives the same float; where
+        # it warned at its cap, the sum is taken again and is the series
         with warnings.catch_warnings(record=True) as old_warnings:
             warnings.simplefilter("always")
             expected = ref.scattering_series_sum(g, vxy2l2, max_terms)
-        with warnings.catch_warnings(record=True) as new_warnings:
-            warnings.simplefilter("always")
-            got = scattering_series_sum(g, vxy2l2, max_terms)
-        assert got == expected
-        assert ([w.category for w in new_warnings]
-                == [w.category for w in old_warnings])
+        got = scattering_series_sum(g, vxy2l2, max_terms)
         if g >= 400.0:  # these hit the cap at every max_terms here
-            assert [w.category for w in new_warnings] == [ConvergenceWarning]
+            assert [w.category for w in old_warnings] == [ConvergenceWarning]
+        if old_warnings:
+            assert got == pytest.approx(direct_series_sum(g, vxy2l2), rel=1e-10)
+        else:
+            assert got == expected
 
 
 class TestScatteringCoefficient:
@@ -435,6 +467,23 @@ class TestScatteringCoefficient:
         geom = ScatterGeometry(theta1=0.3, theta2=0.3, theta3=0.0)
         with pytest.raises(MaterialError, match="10 wavelengths"):
             scattering_coefficient(1e9, geom, GLASS, Polarization.TE)
+
+    def test_series_beyond_float_range(self):
+        # at normal incidence rho0 = 1, the geometric factor is 1 and both
+        # exponents are g = (2 k sigma)^2; at sigma = 250 um and 3 THz the
+        # series (g ~ 990) overflows a float, its attenuated bracket does not
+        mat = dataclasses.replace(METAL, roughness_sigma_m=250e-6)
+        f = 3e12
+        g = (2.0 * (2.0 * math.pi * f / SPEED_OF_LIGHT) * mat.roughness_sigma_m) ** 2
+        log_series = direct_log_series(g, 0.0)
+        assert log_series > math.log(sys.float_info.max)
+        weight = math.pi * mat.correlation_length_m ** 2 / mat.facet_area_m2
+        with mpmath.workdps(40):
+            bracket = float((1 + weight * mpmath.exp(log_series)) * mpmath.exp(-g))
+        got = scattering_coefficient(f, ScatterGeometry(0.0, 0.0, 0.0), mat,
+                                     Polarization.TE)
+        te, _ = fresnel_coefficients(f, 0.0, mat)
+        assert got == pytest.approx(te * math.sqrt(bracket), rel=1e-9)
 
     def test_scattered_response_composition(self):
         f = 3e12
@@ -512,6 +561,45 @@ class TestDiffraction:
         small = abs(diffracted_response(3e12, 2.5e5, 2.5e5, 100.0))
         tiny = abs(diffracted_response(3e12, 2.5e5, 2.5e5, 1e4))
         assert tiny < small < abs(los_response(3e12, 5e5))
+
+
+class TestResponsesMatchReference:
+    """Each response, written over the one transfer formula, returns the float
+    of its own former FSPL x coefficient x delay-phase product."""
+
+    # debris positions (km) on a 500 km link, down to near-grazing relays;
+    # none takes the scattering series to its cap
+    POSITIONS = ((250.0, 50.0, 0.0), (100.0, 10.0, 3.0), (400.0, 1.0, 0.0),
+                 (30.0, 20.0, 5.0), (250.0, 0.01, 0.0), (250.0, 1e-5, 0.0))
+    CENTRES = [float(f) for carrier in (30e9, 300e9, 3e12, 5e12)
+               for f in subband_grid(carrier, 8, 10e9)]
+
+    @pytest.mark.parametrize("pol", list(Polarization), ids=lambda p: p.value)
+    @pytest.mark.parametrize("material", [GLASS, METAL], ids=lambda m: m.name)
+    def test_responses_match_reference(self, material, pol):
+        grazing = 0
+        for f in self.CENTRES:
+            assert los_response(f, 5e5) == ref.los_response(f, 5e5)
+            for pos in self.POSITIONS:
+                s1, s2, d = path_lengths((0, 0, 0), (500, 0, 0), pos)
+                args = (f, s1 * 1e3, s2 * 1e3, d * 1e3)
+                assert reflected_response(*args, material, pol) == \
+                    ref.reflected_response(*args, material, pol)
+                theta = min(incidence_angle(s1, s2, d), math.pi / 2 - 1e-9)
+                c = math.cos(theta)
+                for azimuth in (0.0, 2.0, 5.5):
+                    geom = ScatterGeometry(theta, theta, azimuth)
+                    if abs(c * (c + c)) < 1e-12:
+                        grazing += 1
+                        with pytest.raises(GrazingGeometryError):
+                            scattered_response(*args, geom, material, pol)
+                        continue
+                    assert scattered_response(*args, geom, material, pol) == \
+                        ref.scattered_response(*args, geom, material, pol)
+                h_m, a1, a2 = perpendicular_clearance((0, 0, 0), (500, 0, 0), pos)
+                assert diffracted_response(f, a1 * 1e3, a2 * 1e3, h_m) == \
+                    ref.diffracted_response(f, a1 * 1e3, a2 * 1e3, h_m)
+        assert grazing == 3 * len(self.CENTRES)  # the last position only
 
 
 class TestOperatingPointBounds:
