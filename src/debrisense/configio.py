@@ -22,9 +22,9 @@ import numpy as np
 from .channel import subband_grid
 from .errors import ConfigError, MaterialError
 from .linksim import CsiMethod
-from .materials import default_materials, load_materials
+from .materials import check_breakpoints, default_materials, load_materials
 from .propagation import Polarization
-from .scene import DEBRIS_MECHANISMS, MIN_DEBRIS_SIZE_M, LinkGeometry, Mechanism
+from .scene import DEBRIS_MECHANISMS, LinkGeometry, Mechanism
 from .svm import DEFAULT_TOL, KERNEL_KINDS
 
 # The class label of a sample without debris; every other label names a material.
@@ -48,13 +48,10 @@ def _check_choice(name: str, value: str, allowed) -> None:
 
 def _check_log_f_table(table: str, freqs, rows: dict,
                        probabilities: bool = False) -> None:
-    """Check a per-class table over log-frequency breakpoints: finite, > 0,
-    sorted and non-empty breakpoints, and one finite value per breakpoint in
-    each row, a probability in [0, 1] if ``probabilities``."""
-    if not (freqs and all(0.0 < f < math.inf for f in freqs)
-            and sorted(freqs) == list(freqs)):
-        raise ConfigError(f"{table} breakpoints must be finite, > 0, sorted and "
-                          f"non-empty, got {freqs}")
+    """Check a per-class table over log-frequency breakpoints: the
+    breakpoints as ``check_breakpoints`` requires, and one finite value per
+    breakpoint in each row, a probability in [0, 1] if ``probabilities``."""
+    check_breakpoints(table, freqs)
     for key, row in rows.items():
         if len(row) != len(freqs) or not all(
                 0.0 <= v <= 1.0 if probabilities else math.isfinite(v) for v in row):
@@ -77,15 +74,11 @@ def _interp_log_f(table: str, freqs, values, f_hz: float) -> float:
 class SceneSettings:
     # Major semi-axis defaults to distance/2; minors keep debris near the link.
     minor_semi_axes_km: tuple[float, float] = (50.0, 50.0)
-    debris_size_m: float = 0.5
 
     def __post_init__(self):
         if not all(0.0 < a < math.inf for a in self.minor_semi_axes_km):
             raise ConfigError(f"minor_semi_axes_km must be finite and > 0, "
                               f"got {self.minor_semi_axes_km}")
-        if not MIN_DEBRIS_SIZE_M <= self.debris_size_m < math.inf:
-            raise ConfigError(f"debris_size_m must be finite and >= "
-                              f"{MIN_DEBRIS_SIZE_M}, got {self.debris_size_m}")
 
     def semi_axes(self, distance_km: float) -> tuple[float, float, float]:
         return (distance_km / 2.0, *self.minor_semi_axes_km)
@@ -154,8 +147,6 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class LinkSimConfig:
-    frame_symbols: int = 500
-    pilot_factor: int = 2
     csi_method: CsiMethod = CsiMethod.LEAST_SQUARES
 
 
@@ -198,16 +189,17 @@ class CampaignGrid:
         for name in ("frequencies_hz", "snr_values_db", "mimo_sizes",
                      "densities_per_km3"):
             values = getattr(self, name)
+            key = _ini_key("campaign", name)
             if not values:
-                raise ConfigError(f"campaign list {name} must be non-empty")
+                raise ConfigError(f"campaign list {key} must be non-empty")
             if not all(math.isfinite(v) for v in values):
-                raise ConfigError(f"campaign list {name} must hold finite values, "
+                raise ConfigError(f"campaign list {key} must hold finite values, "
                                   f"got {values}")
             # condition and group ids print each value in :g form
             if len({f"{v:g}" for v in values}) != len(values):
-                raise ConfigError(f"campaign list {name} repeats a value, got {values}")
+                raise ConfigError(f"campaign list {key} repeats a value, got {values}")
             if len(values) != 1 and name not in CAMPAIGN_SWEEPS[self.kind]:
-                raise ConfigError(f"campaign kind {self.kind} does not sweep {name}, "
+                raise ConfigError(f"campaign kind {self.kind} does not sweep {key}, "
                                   f"so it must hold one value, got {values}")
         if any(n < 1 for n in self.mimo_sizes):
             raise ConfigError(f"mimo sizes must be positive, got {self.mimo_sizes}")
@@ -298,7 +290,6 @@ _KEYS = {
     },
     "scene": {
         "minor_semi_axes_km": _Key(_pair, "ellipsoid minors; the major is distance/2"),
-        "debris_size_m": _Key(float),
     },
     "materials": {},
     "interactions": {
@@ -329,6 +320,12 @@ _KEYS = {
         "samples_per_condition": _Key(int),
     },
 }
+
+
+def _ini_key(section: str, attr: str) -> str:
+    """The INI key of ``section`` that sets the dataclass field ``attr``."""
+    return next(key for key, spec in _KEYS[section].items()
+                if (spec.attr or key) == attr)
 
 
 def parse_config(text: str, config_dir=None) -> SimulationConfig:

@@ -15,7 +15,7 @@ scene and interaction seed streams depend on none of the three, so a
 family's conditions share one debris field per sample.  Per sample, the
 scene and the interaction uniforms are drawn once; interactions are
 activated and path gains evaluated once per carrier, at each of its
-sub-band centres; each path's geometry and angles are resolved once and
+sub-band centres; each path's response and angles are resolved once and
 its steering once per array size.  The SNR siblings of a (carrier, array
 size) share its sub-band channel matrices, payload and unit-noise draws
 and the SNR-independent link terms (the noiseless received blocks and each
@@ -57,8 +57,8 @@ from .linksim import (CsiEstimate, CsiMethod, add_noise, csi_error_variance,
                       signal_power, transmit, zf_equalize)
 from .propagation import (Polarization, ScatterGeometry, diffracted_response,
                           los_response, reflected_response, scattered_response)
-from .scene import (DEBRIS_MECHANISMS, DebrisScene, Mechanism, PathGeometry,
-                    SceneConfig, generate_scene, incidence_angle, path_lengths,
+from .scene import (DEBRIS_MECHANISMS, DebrisScene, Mechanism, SceneConfig,
+                    generate_scene, incidence_angle, path_lengths,
                     perpendicular_clearance)
 from .sensing import (FeatureVector, LabeledDataset, SvmModel, extract_features,
                       svm_train)
@@ -67,6 +67,11 @@ DEBRIS_LABEL = "debris"
 # The detection task's classes; a two-class model is positive for its later
 # class, so this order makes debris the positive (decision >= 0) class.
 DETECTION_CLASSES = (NO_DEBRIS_LABEL, DEBRIS_LABEL)
+
+# QPSK symbols per antenna in a sample's frame, split over its sub-bands.
+FRAME_SYMBOLS = 500
+# LS pilot length per transmit antenna.
+PILOT_FACTOR = 2
 
 # Stream tags for counter-based seed derivation.
 _STREAM_SCENE = 11
@@ -328,74 +333,65 @@ def _angles(scene: DebrisScene, position_km) -> tuple[float, float]:
     return el_t, el_r
 
 
-def interaction_geometry(scene: DebrisScene, object_index: int,
-                         mechanism: Mechanism) -> PathGeometry | None:
-    """Resolve one activated interaction into its path geometry.
+def path_transfer(scene: DebrisScene, inter: Interaction, material,
+                  pol: Polarization):
+    """The transfer function of frequency of one activated interaction's
+    path, with its geometry resolved once for all of its sub-bands, or None
+    where a knife edge has no projection.
 
-    Reflection and scattering use the slant legs of the relay triangle;
-    diffraction uses the along-axis split at the obstruction and needs the
-    debris to project onto the open segment (returns None otherwise).
+    Reflection and scattering run over the slant legs of the relay
+    triangle; scattering also resolves its incidence angle from them, once,
+    clamped below grazing.  Diffraction runs over the along-axis split at
+    the obstruction and needs the debris to project onto the open segment
+    at a nonzero clearance.  The response functions are looked up in this
+    module when the path is evaluated.
     """
-    obj = scene.objects[object_index]
     tx = scene.tx_position_km
     rx = scene.rx_position_km
-    clearance = perpendicular_clearance(tx, rx, obj.position_km)
-    if mechanism is Mechanism.DIFFRACTION:
+    position = scene.objects[inter.object_index].position_km
+    if inter.mechanism is Mechanism.DIFFRACTION:
+        clearance = perpendicular_clearance(tx, rx, position)
         if clearance is None or clearance[0] == 0.0:
             return None
         h_m, s1_km, s2_km = clearance
-        return PathGeometry(s1_km=s1_km, s2_km=s2_km,
-                            d_km=scene.geometry.distance_km,
-                            incidence_angle_rad=0.0, clearance_m=h_m,
-                            mechanism=mechanism)
-    s1_km, s2_km, d_km = path_lengths(tx, rx, obj.position_km)
-    theta = min(incidence_angle(s1_km, s2_km, d_km), math.pi / 2 - 1e-9)
-    return PathGeometry(s1_km=s1_km, s2_km=s2_km, d_km=d_km,
-                        incidence_angle_rad=theta,
-                        clearance_m=clearance[0] if clearance else 0.0,
-                        mechanism=mechanism)
-
-
-def _transfer_function(geom: PathGeometry, material, pol: Polarization,
-                       scatter_azimuth: float):
-    """The path's transfer function of frequency, with its lengths in metres
-    and its scattering angles resolved once for all of its sub-bands."""
-    s1_m, s2_m, d_m = geom.s1_km * 1e3, geom.s2_km * 1e3, geom.d_km * 1e3
-    if geom.mechanism is Mechanism.REFLECTION:
+        s1_m, s2_m = s1_km * 1e3, s2_km * 1e3
+        return lambda f: diffracted_response(f, s1_m, s2_m, h_m)
+    s1_km, s2_km, d_km = path_lengths(tx, rx, position)
+    s1_m, s2_m, d_m = s1_km * 1e3, s2_km * 1e3, d_km * 1e3
+    if inter.mechanism is Mechanism.REFLECTION:
         return lambda f: reflected_response(f, s1_m, s2_m, d_m, material, pol)
-    if geom.mechanism is Mechanism.SCATTERING:
-        sgeom = ScatterGeometry(theta1=geom.incidence_angle_rad,
-                                theta2=geom.incidence_angle_rad,
-                                theta3=scatter_azimuth)
-        return lambda f: scattered_response(f, s1_m, s2_m, d_m, sgeom, material, pol)
-    return lambda f: diffracted_response(f, s1_m, s2_m, geom.clearance_m)
+    theta = min(incidence_angle(s1_km, s2_km, d_km), math.pi / 2 - 1e-9)
+    sgeom = ScatterGeometry(theta1=theta, theta2=theta,
+                            theta3=inter.scatter_azimuth)
+    return lambda f: scattered_response(f, s1_m, s2_m, d_m, sgeom, material, pol)
 
 
 class ScenePaths:
     """One sample's scene and the parts of its paths that no carrier or
     array size changes.
 
-    Each interaction's geometry is resolved once, each object's departure
-    and arrival angles once, and its steering matrix once per array size,
-    all on first use, so every condition of a scene family reads the same
-    ones.  Both ends are ULAs with element spacing ``spacing`` (in
-    wavelengths).  The line of sight is object ``None``.
+    Each activated (object, mechanism) gets its transfer function once,
+    each object its departure and arrival angles once, and its steering
+    matrix once per array size, all on first use, so every condition of a
+    scene family reads the same ones.  Both ends are ULAs with ``cfg``'s
+    element spacing (in wavelengths).  The line of sight is object ``None``.
     """
 
-    def __init__(self, scene: DebrisScene, spacing: float):
+    def __init__(self, scene: DebrisScene, cfg: SimulationConfig):
         self.scene = scene
-        self.spacing = spacing
-        self._geometry: dict = {}
+        self.spacing = cfg.channel.spacing
+        self._transfers: dict = {}
         self._angles: dict = {None: (0.0, 0.0)}
         self._steering: dict = {}
 
-    def geometry(self, inter: Interaction) -> PathGeometry | None:
-        """``interaction_geometry`` of the interaction; a failure raises
-        again at every call."""
+    def transfer(self, inter: Interaction, material, pol: Polarization):
+        """``path_transfer`` of the interaction, whose object's material and
+        the sample's polarization are the same at every call; a failure
+        raises again at every call."""
         key = (inter.object_index, inter.mechanism)
-        if key not in self._geometry:
-            self._geometry[key] = interaction_geometry(self.scene, *key)
-        return self._geometry[key]
+        if key not in self._transfers:
+            self._transfers[key] = path_transfer(self.scene, inter, material, pol)
+        return self._transfers[key]
 
     def steering(self, object_index: int | None, n: int) -> np.ndarray:
         """The n x n steering matrix of the object's paths."""
@@ -428,11 +424,12 @@ def build_paths(scene_paths: ScenePaths, interactions, grid,
                 cfg: SimulationConfig, flags: list) -> list[SamplePath]:
     """Resolve the line of sight and every activated interaction into paths.
 
-    Geometry comes from ``scene_paths``, resolved once for every carrier;
-    gains are evaluated at each sub-band centre of ``grid``.  Geometry
-    failures (grazing scattering, no knife-edge projection) skip the path,
-    and a gain that raises skips it at that sub-band only; both append a
-    flag instead of aborting the sample.
+    Each debris path's transfer function comes from ``scene_paths``,
+    resolved once for every carrier; gains are evaluated at each sub-band
+    centre of ``grid``.  Geometry failures (grazing scattering, no
+    knife-edge projection) skip the path, and a gain that raises skips it
+    at that sub-band only; both append a flag instead of aborting the
+    sample.
     """
     scene = scene_paths.scene
     pol = cfg.channel.polarization
@@ -444,14 +441,13 @@ def build_paths(scene_paths: ScenePaths, interactions, grid,
         material = cfg.materials[scene.objects[inter.object_index].debris_class]
         error_flag = f"path_error:{inter.mechanism.value}"
         try:
-            geom = scene_paths.geometry(inter)
+            transfer = scene_paths.transfer(inter, material, pol)
         except DebrisenseError:
             flags.append(error_flag)
             continue
-        if geom is None:
+        if transfer is None:
             flags.append("diff_skip")
             continue
-        transfer = _transfer_function(geom, material, pol, inter.scatter_azimuth)
         gains = []
         for f in freqs:
             try:
@@ -532,8 +528,7 @@ def draw_sample(cond: ConditionSpec, label: str, sample_key: tuple,
             h = apply_rician_smallscale(
                 h, cfg.channel.k_factor(label, cond.frequency_hz), fading_rng)
         channel[k] = h
-    lengths = balanced_partition(cfg.linksim.frame_symbols,
-                                 range(cfg.channel.n_subbands)).values()
+    lengths = balanced_partition(FRAME_SYMBOLS, range(cfg.channel.n_subbands)).values()
     return draw_link(sample_idx, label, tuple(flags), channel, lengths, noise_rng)
 
 
@@ -601,7 +596,7 @@ def simulate_sample(cond: ConditionSpec, draw: SampleDraw,
     if method is CsiMethod.PERFECT:
         csi = draw.channel
     else:
-        pilot_len = cfg.linksim.pilot_factor * cond.n_antennas
+        pilot_len = PILOT_FACTOR * cond.n_antennas
         csi = add_noise(draw.channel,
                         csi_error_variance(noise_var, cond.n_antennas, pilot_len),
                         draw.csi_error)
@@ -654,8 +649,8 @@ def run_condition(conds, cfg: SimulationConfig, master_seed: int,
     family's sample indices to generate, all of them by default; a sample's
     records do not depend on the block it is generated in.  Per sample, the
     scene and its interaction uniforms are drawn once, and the paths are
-    built once per carrier (``ScenePaths`` shares their geometry and
-    steering); the channel and payload are drawn once per (carrier, array
+    built once per carrier (``ScenePaths`` shares their transfer functions
+    and steering); the channel and payload are drawn once per (carrier, array
     size) and simulated at each SNR sibling's SNR.  The records come back
     grouped by condition, in the order given.
     """
@@ -670,8 +665,8 @@ def run_condition(conds, cfg: SimulationConfig, master_seed: int,
         geometry=cfg.link,
         density_per_km3=0.0 if label == NO_DEBRIS_LABEL else head.density_per_km3,
         semi_axes_km=cfg.scene.semi_axes(cfg.link.distance_km),
-        debris_class=None if label == NO_DEBRIS_LABEL else label,
-        debris_size_m=cfg.scene.debris_size_m) for label in head.labels}
+        debris_class=None if label == NO_DEBRIS_LABEL else label)
+        for label in head.labels}
     # family positions by carrier, then by array size: the SNR siblings
     siblings: dict[int, dict[int, list[int]]] = {}
     for pos, cond in enumerate(family):
@@ -684,7 +679,7 @@ def run_condition(conds, cfg: SimulationConfig, master_seed: int,
         scene = generate_scene(scene_cfgs[label], seed=int(
             _rng(master_seed, _STREAM_SCENE, *key).integers(0, 2 ** 63)))
         draws = interaction_draws(scene, _rng(master_seed, _STREAM_INTERACT, *key))
-        scene_paths = ScenePaths(scene, cfg.channel.spacing)
+        scene_paths = ScenePaths(scene, cfg)
         for by_size in siblings.values():
             carrier = family[next(iter(by_size.values()))[0]]
             grid = subband_grid(carrier.frequency_hz, cfg.channel.n_subbands,

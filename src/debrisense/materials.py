@@ -9,12 +9,22 @@ reflection and scattering models.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, MaterialError
+
+
+def check_breakpoints(table: str, freqs) -> None:
+    """Raise ConfigError naming ``table`` unless its breakpoint frequencies
+    are finite, > 0, sorted and non-empty."""
+    if not (freqs and all(0.0 < f < math.inf for f in freqs)
+            and sorted(freqs) == list(freqs)):
+        raise ConfigError(f"{table} breakpoints must be finite, > 0, sorted and "
+                          f"non-empty, got {freqs}")
 
 
 def _interp_table(table: tuple[tuple[float, float], ...], f: float, what: str,
@@ -37,8 +47,8 @@ class MaterialProperties:
     name : str
         Material identifier (also the config section name).
     n_table, alpha_table : tuple of (frequency_hz, value)
-        Breakpoints of the refractive index and absorption coefficient
-        (1/m).  Must be sorted by frequency.
+        Breakpoints of the refractive index (>= 1) and absorption
+        coefficient (1/m, >= 0), at finite, positive and sorted frequencies.
     roughness_sigma_m : float
         Standard deviation of the Gaussian surface height, metres.
     correlation_length_m : float
@@ -57,17 +67,15 @@ class MaterialProperties:
     facet_ly_m: float
 
     def __post_init__(self):
-        for label, table in (("n", self.n_table), ("alpha", self.alpha_table)):
-            if len(table) < 1:
-                raise ConfigError(f"material '{self.name}': empty {label} table")
-            if not np.isfinite(table).all():
-                raise ConfigError(f"material '{self.name}': non-finite {label} table")
-            freqs = [p[0] for p in table]
-            if sorted(freqs) != freqs:
-                raise ConfigError(
-                    f"material '{self.name}': {label} table not sorted by frequency")
+        for key, table in (("n", self.n_table), ("alpha_per_m", self.alpha_table)):
+            check_breakpoints(f"material '{self.name}': {key}", [f for f, _ in table])
+            if not all(math.isfinite(v) for _, v in table):
+                raise ConfigError(f"material '{self.name}': non-finite {key} value")
         if any(v < 1.0 for _, v in self.n_table):
             raise ConfigError(f"material '{self.name}': refractive index < 1")
+        if any(v < 0.0 for _, v in self.alpha_table):
+            raise ConfigError(f"material '{self.name}': alpha_per_m must be >= 0 "
+                              "(a negative absorption is a gain medium)")
         if not 0 <= self.roughness_sigma_m < np.inf:
             raise ConfigError(f"material '{self.name}': roughness sigma not in [0, inf)")
         if not 0 < self.correlation_length_m < np.inf:
@@ -151,8 +159,13 @@ def _parse_scalar(sec: dict, section: str, key: str) -> float:
 
 
 def parse_materials(text: str) -> dict[str, MaterialProperties]:
-    """Parse material definitions from INI-style text."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Parse material definitions from INI-style text.
+
+    Values are read as written: a ``%`` is a character of the value, not
+    the start of an interpolation.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -183,9 +196,15 @@ def parse_materials(text: str) -> dict[str, MaterialProperties]:
 
 
 def load_materials(path) -> dict[str, MaterialProperties]:
-    """Load material definitions from an INI file on disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_materials(fh.read())
+    """Load material definitions from an INI file on disk; a file that
+    cannot be read raises ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read material file {path}: "
+                          f"{exc.strerror or exc}") from exc
+    return parse_materials(text)
 
 
 def default_materials() -> dict[str, MaterialProperties]:

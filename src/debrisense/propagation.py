@@ -306,8 +306,7 @@ def _sinc(t: float) -> float:
 
 
 def scattering_coefficient(f_hz: float, geom: ScatterGeometry,
-                           material: MaterialProperties, pol: Polarization,
-                           max_terms: int = SERIES_MAX_TERMS) -> complex:
+                           material: MaterialProperties, pol: Polarization) -> complex:
     """Beckmann-Kirchhoff bistatic scattering coefficient.
 
     Combines the specular reflectance ``rho0`` with the diffuse-lobe series
@@ -336,7 +335,7 @@ def scattering_coefficient(f_hz: float, geom: ScatterGeometry,
     sigma = material.roughness_sigma_m
     g_sca = (k * sigma * (c1 + c2)) ** 2
     lcorr = material.correlation_length_m
-    log_series = _log_series_sum(g_sca, vxy_sq * lcorr * lcorr, max_terms)
+    log_series = _log_series_sum(g_sca, vxy_sq * lcorr * lcorr, SERIES_MAX_TERMS)
     weight = math.pi * lcorr * lcorr * f_geom * f_geom / material.facet_area_m2
     g_rayleigh = _rayleigh_exponent(f_hz, sigma, geom.theta1)
     try:
@@ -371,25 +370,23 @@ def fresnel_kirchhoff_parameter(h_d_m: float, f_hz: float,
     return h_d_m * math.sqrt(2.0 * (s1_m + s2_m) / (lam * s1_m * s2_m))
 
 
-def diffraction_loss(v: float, mu1: float = 1.0, mu2: float = 1.0,
-                     mu3: float = 1.0) -> float:
+def diffraction_loss(v: float) -> float:
     """Piecewise empirical knife-edge loss coefficient.
 
-    The three branches carry per-frequency fit parameters mu1..mu3
-    (unity by default).  The v = 2.4 branch boundary is discontinuous by
-    construction; it is a property of the fitted model, not smoothed here.
+    The v = 2.4 branch boundary is discontinuous by construction; it is a
+    property of the fitted model, not smoothed here.
     """
     if v <= 0:
         raise ValueError(f"diffraction parameter must be > 0, got {v}")
     if v <= 1.0:
-        return mu1 * 0.5 * math.exp(-0.95 * v)
+        return 0.5 * math.exp(-0.95 * v)
     if v <= 2.4:
-        return mu2 * (0.4 - math.sqrt(0.12 - (0.38 - 0.1 * v) ** 2))
-    return mu3 * 0.225 / v
+        return 0.4 - math.sqrt(0.12 - (0.38 - 0.1 * v) ** 2)
+    return 0.225 / v
 
 
-def diffracted_response(f_hz: float, s1_m: float, s2_m: float, h_d_m: float,
-                        mu: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> complex:
+def diffracted_response(f_hz: float, s1_m: float, s2_m: float,
+                        h_d_m: float) -> complex:
     """Diffracted-path transfer function.
 
     ``s1``/``s2`` are the along-axis splits of the direct path at the
@@ -397,5 +394,5 @@ def diffracted_response(f_hz: float, s1_m: float, s2_m: float, h_d_m: float,
     the quadratic excess of the clearance.
     """
     return _path_transfer(f_hz, s1_m + s2_m, lambda: (
-        diffraction_loss(fresnel_kirchhoff_parameter(h_d_m, f_hz, s1_m, s2_m), *mu),
+        diffraction_loss(fresnel_kirchhoff_parameter(h_d_m, f_hz, s1_m, s2_m)),
         diffraction_excess_path(h_d_m, s1_m * 1e-3, s2_m * 1e-3)))

@@ -20,8 +20,6 @@ from .errors import ConfigError, GeometryError
 
 # Relative tolerance for near-degenerate triangle geometry.
 GEOMETRY_EPS = 1e-9
-# Smallest characteristic size of a debris object (1 cm).
-MIN_DEBRIS_SIZE_M = 0.01
 
 
 class DebrisClass:
@@ -67,16 +65,13 @@ class LinkGeometry:
 
 @dataclass(frozen=True)
 class DebrisObject:
-    """One piece of debris, positioned relative to the transmitter (km)."""
+    """One piece of debris: a point, positioned relative to the transmitter
+    (km), with a class that names its material."""
 
     position_km: tuple[float, float, float]
     debris_class: str
-    characteristic_size_m: float
 
     def __post_init__(self):
-        if not (self.characteristic_size_m >= MIN_DEBRIS_SIZE_M):
-            raise ConfigError(
-                f"debris size {self.characteristic_size_m} m below the 1 cm floor")
         if not all(math.isfinite(c) for c in self.position_km):
             raise ConfigError("debris position must be finite")
 
@@ -89,7 +84,6 @@ class SceneConfig:
     density_per_km3: float
     semi_axes_km: tuple[float, float, float]
     debris_class: str | None = None
-    debris_size_m: float = 0.5
 
     def __post_init__(self):
         if not math.isfinite(self.density_per_km3) or self.density_per_km3 < 0:
@@ -117,31 +111,6 @@ class DebrisScene:
     @property
     def rx_position_km(self) -> np.ndarray:
         return np.array([self.geometry.distance_km, 0.0, 0.0])
-
-
-@dataclass(frozen=True)
-class PathGeometry:
-    """Geometry of one debris interaction path.
-
-    ``s1``/``s2`` are slant legs for reflection/scattering and the
-    along-axis split for diffraction (where they sum to ``d`` exactly).
-    """
-
-    s1_km: float
-    s2_km: float
-    d_km: float
-    incidence_angle_rad: float
-    clearance_m: float
-    mechanism: Mechanism
-
-    def __post_init__(self):
-        if self.s1_km + self.s2_km < self.d_km * (1.0 - GEOMETRY_EPS):
-            raise GeometryError(
-                f"path legs {self.s1_km}+{self.s2_km} shorter than direct "
-                f"{self.d_km}")
-        if not (0.0 <= self.incidence_angle_rad <= math.pi / 2):
-            raise GeometryError(
-                f"incidence angle {self.incidence_angle_rad} outside [0, pi/2]")
 
 
 def ellipsoid_volume_km3(semi_axes_km) -> float:
@@ -172,7 +141,6 @@ def generate_scene(config: SceneConfig, seed: int) -> DebrisScene:
         objects.append(DebrisObject(
             position_km=tuple(float(x) for x in pos),
             debris_class=config.debris_class,
-            characteristic_size_m=config.debris_size_m,
         ))
     return DebrisScene(
         geometry=config.geometry,
@@ -281,7 +249,6 @@ def scene_to_text(scene: DebrisScene) -> str:
     ]
     for obj in scene.objects:
         x, y, z = obj.position_km
-        lines.append(f"{x!r},{y!r},{z!r},{obj.debris_class},"
-                     f"{obj.characteristic_size_m!r}")
+        lines.append(f"{x!r},{y!r},{z!r},{obj.debris_class}")
     return "\n".join(lines) + "\n"
 

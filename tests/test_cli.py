@@ -114,30 +114,35 @@ def test_bad_array_or_subband_setting_exits_2(tmp_path, capsys, setting):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting", [
-    ("[channel]", "[scene]\nminor_semi_axes_km = nan, 50\n[channel]"),
-    ("[channel]", "[scene]\ndebris_size_m = 0\n[channel]"),
-    ("[channel]", "[svm]\ntolerance = nan\n[channel]"),
-    ("frequencies_hz = 30e9", "frequencies_hz = 20e9"),
-    ("n_subbands = 4", "n_subbands = 4\nbandwidth_hz = 1e11"),
-    ("n_subbands = 4", "n_subbands = 4\nbandwidth_hz = 4e10"),
-    ("n_subbands = 4", "n_subbands = 4\nk_factor_db_smooth_glass = nan, 13, 21, 21"),
-    ("n_subbands = 4", "n_subbands = 4\nk_factor_db_smooth_glass = inf, 13, 21, 21"),
-    ("n_subbands = 4", "n_subbands = 4\nk_factor_frequencies_hz = 30e9, nan, 3e12, 5e12"),
-    ("[channel]", "[interactions]\nfrequencies_hz = 30e9, 300e9, nan, 5e12\n[channel]"),
-    ("snr_db = 15", "snr_db = 5, 5"),
-    ("frequencies_hz = 30e9", "frequencies_hz = 3e12, 3e12"),
-    ("snr_db = 15", "snr_db = nan"),
-    ("mimo = 4", "mimo = 4, 16"),
-    ("kind = frequency_snr\nfrequencies_hz = 30e9\nsnr_db = 15",
-     "kind = mimo_frequency\nfrequencies_hz = 30e9\nsnr_db = 15, 20"),
+@pytest.mark.parametrize("setting,problem", [
+    (("[channel]", "[scene]\nminor_semi_axes_km = nan, 50\n[channel]"), ""),
+    (("[channel]", "[scene]\ndebris_size_m = 0\n[channel]"),
+     "unknown config key 'debris_size_m'"),
+    (("[channel]", "[svm]\ntolerance = nan\n[channel]"), ""),
+    (("frequencies_hz = 30e9", "frequencies_hz = 20e9"), ""),
+    (("n_subbands = 4", "n_subbands = 4\nbandwidth_hz = 1e11"), ""),
+    (("n_subbands = 4", "n_subbands = 4\nbandwidth_hz = 4e10"), ""),
+    (("n_subbands = 4", "n_subbands = 4\nk_factor_db_smooth_glass = nan, 13, 21, 21"), ""),
+    (("n_subbands = 4", "n_subbands = 4\nk_factor_db_smooth_glass = inf, 13, 21, 21"), ""),
+    (("n_subbands = 4",
+      "n_subbands = 4\nk_factor_frequencies_hz = 30e9, nan, 3e12, 5e12"), ""),
+    (("[channel]", "[interactions]\nfrequencies_hz = 30e9, 300e9, nan, 5e12\n[channel]"),
+     ""),
+    (("snr_db = 15", "snr_db = 5, 5"), "campaign list snr_db repeats"),
+    (("frequencies_hz = 30e9", "frequencies_hz = 3e12, 3e12"),
+     "campaign list frequencies_hz repeats"),
+    (("snr_db = 15", "snr_db = nan"), "campaign list snr_db must hold finite"),
+    (("mimo = 4", "mimo = 4, 16"), "does not sweep mimo,"),
+    (("kind = frequency_snr\nfrequencies_hz = 30e9\nsnr_db = 15",
+      "kind = mimo_frequency\nfrequencies_hz = 30e9\nsnr_db = 15, 20"),
+     "does not sweep snr_db,"),
 ], ids=["minor_axis_nan", "size_zero", "tolerance_nan", "frequency_uncovered",
         "subband_below_zero", "subband_below_tables", "k_factor_nan",
         "k_factor_inf", "k_factor_breakpoint_nan", "interaction_breakpoint_nan",
         "snr_repeated", "frequency_repeated", "snr_nan", "mimo_not_swept",
         "snr_not_swept"])
 def test_bad_setting_exits_2_before_any_sample(tmp_path, capsys, monkeypatch,
-                                               setting):
+                                               setting, problem):
     def campaign_started(*args, **kwargs):
         raise AssertionError("the campaign ran with a bad setting")
 
@@ -146,7 +151,8 @@ def test_bad_setting_exits_2_before_any_sample(tmp_path, capsys, monkeypatch,
     cfg_path.write_text(CUSTOM_CONFIG.replace(*setting), encoding="utf-8")
     out = tmp_path / "x"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and problem in err
     assert not out.exists()
 
 
@@ -207,20 +213,28 @@ def test_config_defined_debris_class_runs(tmp_path):
     assert set(labels) == {"none", "smooth_glass", "rough_metal", "plastic"}
 
 
-@pytest.mark.parametrize("setting", [("[rough_metal]", "[rough_metal]\nfacet_lz_m = 9"),
-                                     ("[smooth", "[DEFAULT]\nfacet_ly_m = 0.15\n[smooth"),
-                                     ("roughness_sigma_m = 5e-6",
-                                      "roughness_sigma_m = nan")],
-                         ids=["unknown_key", "default_section", "nan_value"])
-def test_bad_material_file_exits_2(tmp_path, capsys, setting):
+@pytest.mark.parametrize("setting,problem", [
+    (("[rough_metal]", "[rough_metal]\nfacet_lz_m = 9"), "facet_lz_m"),
+    (("[smooth", "[DEFAULT]\nfacet_ly_m = 0.15\n[smooth"), "DEFAULT"),
+    (("roughness_sigma_m = 5e-6", "roughness_sigma_m = nan"), "roughness sigma"),
+    (("alpha_per_m = 20e9:200.0, 6e12:200.0", "alpha_per_m = 20e9:-2000, 6e12:-2000"),
+     "'smooth_glass': alpha_per_m must be >= 0"),
+    (("n = 20e9:1.95, 6e12:1.95", "n = -20e9:1.95, 6e12:1.95"),
+     "'smooth_glass': n breakpoints"),
+    (("n = 20e9:1.95", "n = 20e9:1.95%"), "'smooth_glass': cannot parse n entry"),
+    (("file = mats.ini", "file = missing.ini"), "missing.ini"),
+], ids=["unknown_key", "default_section", "nan_value", "negative_absorption",
+        "negative_breakpoint", "percent_value", "missing_file"])
+def test_bad_material_file_exits_2(tmp_path, capsys, setting, problem):
     (tmp_path / "mats.ini").write_text(
         DEFAULT_MATERIALS_TEXT.replace(*setting), encoding="utf-8")
     cfg_path = tmp_path / "run.ini"
-    cfg_path.write_text(CUSTOM_CONFIG + "\n[materials]\nfile = mats.ini\n",
-                        encoding="utf-8")
+    cfg_path.write_text((CUSTOM_CONFIG + "\n[materials]\nfile = mats.ini\n")
+                        .replace(*setting), encoding="utf-8")
     out = tmp_path / "x"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and problem in err
     assert not out.exists()
 
 

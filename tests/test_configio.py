@@ -12,6 +12,21 @@ from debrisense.propagation import Polarization
 from debrisense.scene import DebrisClass, Mechanism
 
 
+# The bad values whose error must name what the user wrote: the INI key of
+# a campaign list, or a key that no longer exists.
+NAMED_IN_ERROR = {
+    **{f"[scene]\ndebris_size_m = {v}\n": "unknown config key 'debris_size_m'"
+       for v in ("0", "0.005", "nan", "inf")},
+    "[campaign]\nsnr_db = 5, 5\n": "list snr_db repeats",
+    "[campaign]\nsnr_db = nan\n": "list snr_db must hold finite",
+    "[campaign]\nsnr_db = 5, inf\n": "list snr_db must hold finite",
+    "[campaign]\nmimo = 4, 16\n": "does not sweep mimo,",
+    "[campaign]\nkind = trend\nmimo = 4, 16\n": "does not sweep mimo,",
+    "[campaign]\nkind = frequency_snr\nsnr_db = 15\ndensities_per_km3 = 1e-6, 1e-7\n":
+        "does not sweep densities_per_km3,",
+}
+
+
 class TestOverrides:
     def test_link_and_scene(self):
         cfg = parse_config("""
@@ -21,11 +36,12 @@ velocity_km_s = 6.5
 
 [scene]
 minor_semi_axes_km = 40, 60
-debris_size_m = 0.25
 """)
         assert cfg.link.distance_km == 800.0
         assert cfg.scene.semi_axes(800.0) == (400.0, 40.0, 60.0)
-        assert cfg.scene.debris_size_m == 0.25
+        # a debris object is a point: no output reads a size
+        with pytest.raises(ConfigError, match="unknown config key 'debris_size_m'"):
+            parse_config("[scene]\ndebris_size_m = 0.25\n")
 
     def test_channel_k_factor_rows(self):
         cfg = parse_config("""
@@ -193,7 +209,7 @@ class TestValidation:
         "densities_per_km3 = 1e-6, 1e-7\n",
     ])
     def test_bad_values_rejected(self, text):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=NAMED_IN_ERROR.get(text)):
             parse_config(text)
 
     @pytest.mark.parametrize("text, table", [

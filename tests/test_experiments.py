@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import itertools
 import math
 from dataclasses import replace
 
@@ -13,7 +14,8 @@ from debrisense.configio import (CAMPAIGN_KINDS, CAMPAIGN_SWEEPS, CampaignGrid,
                                  default_config)
 from debrisense import experiments
 from debrisense.errors import ConfigError, EqualizationError, TrainingError
-from debrisense.experiments import (_STREAM_SPLIT, Interaction, ScenePaths,
+from debrisense.experiments import (_STREAM_SPLIT, FRAME_SYMBOLS, PILOT_FACTOR,
+                                    Interaction, ScenePaths,
                                     balanced_partition, build_paths,
                                     draw_interactions, draw_link,
                                     enumerate_conditions, evaluate_condition,
@@ -26,8 +28,13 @@ from debrisense.experiments import (_STREAM_SPLIT, Interaction, ScenePaths,
 from debrisense.linksim import (CsiMethod, complex_normal, estimate_csi,
                                 qpsk_demodulate, qpsk_modulate, transmit,
                                 zf_equalize)
-from debrisense.scene import (DebrisClass, LinkGeometry, Mechanism,
-                              SceneConfig, generate_scene)
+from debrisense.propagation import (Polarization, ScatterGeometry,
+                                    diffracted_response, reflected_response,
+                                    scattered_response)
+from debrisense.scene import (DEBRIS_MECHANISMS, DebrisClass, DebrisObject,
+                              LinkGeometry, Mechanism, SceneConfig,
+                              generate_scene, incidence_angle, path_lengths,
+                              perpendicular_clearance)
 
 
 def tiny_cfg(samples=12, kind="frequency_snr"):
@@ -276,26 +283,90 @@ class TestSnrFamilies:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def bits(value: complex) -> bytes:
+    return np.complex128(value).tobytes()
+
+
 class TestPathGeometryFlow:
-    def test_interaction_geometry_invariants(self):
-        from debrisense.experiments import interaction_geometry
-        geom = LinkGeometry(distance_km=500.0, velocity_km_s=7.0)
+    def test_path_transfer_matches_responses_on_geometry(self):
+        # each path's transfer function is its response function on the
+        # path geometry: the legs in metres for reflection and scattering,
+        # scattering at the clamped incidence angle of the legs in km, and
+        # the along-axis split at the clearance for diffraction, which has
+        # no path exactly where the debris does not project onto the link
+        cfg = default_config()
+        material = cfg.materials[DebrisClass.ROUGH_METAL]
         scene = generate_scene(SceneConfig(
-            geometry=geom, density_per_km3=2e-5,
-            debris_class=DebrisClass.ROUGH_METAL,
+            geometry=LinkGeometry(distance_km=500.0, velocity_km_s=7.0),
+            density_per_km3=2e-5, debris_class=DebrisClass.ROUGH_METAL,
             semi_axes_km=(250.0, 50.0, 50.0)), seed=1)
         assert len(scene.objects) > 0
-        for i in range(len(scene.objects)):
-            for mech in (Mechanism.REFLECTION, Mechanism.SCATTERING,
-                         Mechanism.DIFFRACTION):
-                pg = interaction_geometry(scene, i, mech)
-                if pg is None:
+        # and one object beyond the receiver, with no knife-edge projection
+        scene = replace(scene, objects=scene.objects + (
+            DebrisObject((520.0, 10.0, 0.0), DebrisClass.ROUGH_METAL),))
+        freqs = [float(f) for carrier in (30e9, 5e12)
+                 for f in subband_grid(carrier, 8, cfg.channel.bandwidth_hz)]
+        tx, rx = scene.tx_position_km, scene.rx_position_km
+        skipped = 0
+        for pol, (i, obj) in itertools.product(Polarization, enumerate(scene.objects)):
+            s1, s2, d = path_lengths(tx, rx, obj.position_km)
+            theta = min(incidence_angle(s1, s2, d), math.pi / 2 - 1e-9)
+            sgeom = ScatterGeometry(theta1=theta, theta2=theta, theta3=0.5)
+            clearance = perpendicular_clearance(tx, rx, obj.position_km)
+            expected = {
+                Mechanism.REFLECTION: lambda f: reflected_response(
+                    f, s1 * 1e3, s2 * 1e3, d * 1e3, material, pol),
+                Mechanism.SCATTERING: lambda f: scattered_response(
+                    f, s1 * 1e3, s2 * 1e3, d * 1e3, sgeom, material, pol),
+            }
+            if clearance is not None:
+                h_m, a1, a2 = clearance
+                expected[Mechanism.DIFFRACTION] = lambda f: diffracted_response(
+                    f, a1 * 1e3, a2 * 1e3, h_m)
+            for mech in DEBRIS_MECHANISMS:
+                transfer = experiments.path_transfer(
+                    scene, Interaction(i, mech, 0.5), material, pol)
+                assert (transfer is None) == (mech not in expected)
+                if transfer is None:
+                    skipped += 1
                     continue
-                assert pg.s1_km + pg.s2_km >= pg.d_km * (1 - 1e-9)
-                assert 0.0 <= pg.incidence_angle_rad <= math.pi / 2
-                if mech is Mechanism.DIFFRACTION:
-                    assert pg.s1_km + pg.s2_km == pytest.approx(pg.d_km)
-                    assert pg.clearance_m > 0.0
+                for f in freqs:
+                    assert bits(transfer(f)) == bits(expected[mech](f)), (i, mech, f)
+        assert skipped == len(Polarization)
+
+    def test_transfer_resolved_once_per_sample(self, monkeypatch):
+        # a family of four carriers resolves each (object, mechanism) that
+        # some carrier activates once per sample, not once per carrier
+        calls, activated = [], {}
+        path_transfer = experiments.path_transfer
+        draw = experiments.draw_interactions
+
+        def counted_transfer(scene, inter, material, pol):
+            calls.append((scene.seed, inter.object_index, inter.mechanism))
+            return path_transfer(scene, inter, material, pol)
+
+        def recorded_draw(scene, f_hz, table, draws):
+            out = draw(scene, f_hz, table, draws)
+            activated.setdefault(scene.seed, set()).update(
+                (inter.object_index, inter.mechanism) for inter in out)
+            return out
+
+        monkeypatch.setattr(experiments, "path_transfer", counted_transfer)
+        monkeypatch.setattr(experiments, "draw_interactions", recorded_draw)
+        cfg = default_config()
+        cfg = replace(cfg, campaign=CampaignGrid(
+            kind="density_frequency",
+            frequencies_hz=(30e9, 300e9, 3e12, 5e12), snr_values_db=(15.0,),
+            mimo_sizes=(4,), densities_per_km3=(1e-5,),
+            classes=("none", "smooth_glass"), samples_per_condition=4))
+        family = next(f for f in scene_families(enumerate_conditions(cfg)[0])
+                      if f[0].labels == ("smooth_glass",))
+        assert len({cond.frequency_hz for cond in family}) == 4
+        run_condition(family, cfg, master_seed=3)
+        assert len(activated) == 4 and sum(map(len, activated.values())) > 4
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {(seed, *key) for seed, keys in activated.items()
+                              for key in keys}
 
     def test_gain_outside_material_tables_fails_only_those_subbands(self):
         # glass tables that end between sub-bands 3 and 4 of a 3 THz grid:
@@ -316,8 +387,7 @@ class TestPathGeometryFlow:
                                     scatter_azimuth=0.5)
                         for mech in (Mechanism.REFLECTION, Mechanism.SCATTERING)]
         flags = []
-        paths = build_paths(ScenePaths(scene, cfg.channel.spacing),
-                            interactions, grid, cfg, flags)
+        paths = build_paths(ScenePaths(scene, cfg), interactions, grid, cfg, flags)
         assert [p.mechanism for p in paths[1:]] == [Mechanism.REFLECTION,
                                                     Mechanism.SCATTERING]
         for path in paths[1:]:
@@ -353,11 +423,11 @@ class TestPathGeometryFlow:
         n, bad = cond.n_antennas, 5
         channel = complex_normal(np.random.default_rng(4), (8, n, n))
         channel[bad][:, 2] = 0.0
-        lengths = balanced_partition(cfg.linksim.frame_symbols, range(8)).values()
+        lengths = balanced_partition(FRAME_SYMBOLS, range(8)).values()
         draw = draw_link(0, "none", (), channel, lengths, np.random.default_rng(5))
         draw.csi_error[bad][:, 2] = 0.0
 
-        pilot = cfg.linksim.pilot_factor * n
+        pilot = PILOT_FACTOR * n
         errors, total = 0.0, 0
         for frame in draw.frames:
             for k, noise, bits in zip(range(frame.subbands.start, frame.subbands.stop),

@@ -84,6 +84,29 @@ def test_non_numeric_scalar_names_material_and_key(key, value):
         parse_materials(bad)
 
 
+@pytest.mark.parametrize("old,new,problem", [
+    ("100e9:100, 1e12:300", "100e9:-100, 1e12:300", "alpha_per_m must be >= 0"),
+    ("100e9:1.9, 1e12:2.1", "-100e9:1.9, 1e12:2.1", "n breakpoints must be"),
+    ("100e9:1.9, 1e12:2.1", "0:1.9, 1e12:2.1", "n breakpoints must be"),
+    ("100e9:100, 1e12:300", "0:100, 1e12:300", "alpha_per_m breakpoints must be"),
+    ("100e9:100, 1e12:300", "100e9:100, inf:300", "alpha_per_m breakpoints must be"),
+    ("100e9:1.9", "100e9:1.9%", "n entry"),
+    ("roughness_sigma_m = 5e-6", "roughness_sigma_m = 5e-6%", "roughness_sigma_m value"),
+], ids=["negative_absorption", "negative_breakpoint", "zero_breakpoint",
+        "zero_alpha_breakpoint", "inf_breakpoint", "percent_in_table",
+        "percent_in_scalar"])
+def test_bad_table_or_value_names_material_and_key(old, new, problem):
+    # the breakpoints follow the rule of the config's frequency tables, and
+    # an absorption below zero would model a gain medium
+    with pytest.raises(ConfigError, match=f"'glassy'.*{problem}"):
+        parse_materials(GLASS_TEXT.replace(old, new))
+
+
+def test_missing_file_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read material file .*nope.ini"):
+        load_materials(tmp_path / "nope.ini")
+
+
 def test_missing_key_rejected():
     bad = GLASS_TEXT.replace("facet_ly_m = 0.1", "")
     with pytest.raises(ConfigError):

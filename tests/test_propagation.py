@@ -536,10 +536,6 @@ class TestDiffraction:
             assert diffraction_loss(v + 1e-9) == pytest.approx(
                 diffraction_loss(v), rel=1e-6)
 
-    def test_mu_scaling(self):
-        assert diffraction_loss(0.5, mu1=2.0) == pytest.approx(
-            2 * diffraction_loss(0.5), rel=1e-12)
-
     def test_nonpositive_v_rejected(self):
         with pytest.raises(ValueError):
             diffraction_loss(0.0)

@@ -68,9 +68,9 @@ class TestGenerateScene:
         with pytest.raises(ConfigError, match="semi-axes"):
             make_config(1e-6, semi=(250.0, float("nan"), 50.0))
 
-    def test_nan_debris_size_rejected(self):
-        with pytest.raises(ConfigError, match="1 cm floor"):
-            DebrisObject((0.0, 0.0, 0.0), "rough_metal", float("nan"))
+    def test_nan_debris_position_rejected(self):
+        with pytest.raises(ConfigError, match="position must be finite"):
+            DebrisObject((0.0, float("nan"), 0.0), "rough_metal")
 
 
 class TestPathLengths:
