@@ -15,10 +15,11 @@ scene and interaction seed streams depend on none of the three, so a
 family's conditions share one debris field per sample.  Per sample, the
 scene and the interaction uniforms are drawn once; interactions are
 activated and path gains evaluated once per carrier, at each of its
-sub-band centres; each path's response and angles are resolved once and
-its steering once per array size.  The SNR siblings of a (carrier, array
-size) share its sub-band channel matrices, payload and unit-noise draws
-and the SNR-independent link terms (the noiseless received blocks and each
+sub-band centres; each path's geometry (its unfolded length and one
+incidence angle) is resolved once, in ``path_transfer``, and its steering
+once per array size.  The SNR siblings of a (carrier, array size) share
+its sub-band channel matrices, payload and unit-noise draws and the
+SNR-independent link terms (the noiseless received blocks and each
 sub-band's signal power); each sibling then only scales the noise to its
 SNR, equalizes and counts bit errors, and extracts the features, on stacks
 of sub-bands rather than one matrix at a time.  A unit of work is a
@@ -339,12 +340,12 @@ def path_transfer(scene: DebrisScene, inter: Interaction, material,
     path, with its geometry resolved once for all of its sub-bands, or None
     where a knife edge has no projection.
 
-    Reflection and scattering run over the slant legs of the relay
-    triangle; scattering also resolves its incidence angle from them, once,
-    clamped below grazing.  Diffraction runs over the along-axis split at
-    the obstruction and needs the debris to project onto the open segment
-    at a nonzero clearance.  The response functions are looked up in this
-    module when the path is evaluated.
+    Reflection and scattering run over the unfolded slant legs of the relay
+    triangle, at one incidence angle clamped below grazing: reflection's
+    from the legs in metres, scattering's from the legs in km.  Diffraction
+    runs over the along-axis split at the obstruction and needs the debris
+    to project onto the open segment at a nonzero clearance.  The response
+    functions are looked up in this module when the path is evaluated.
     """
     tx = scene.tx_position_km
     rx = scene.rx_position_km
@@ -357,13 +358,14 @@ def path_transfer(scene: DebrisScene, inter: Interaction, material,
         s1_m, s2_m = s1_km * 1e3, s2_km * 1e3
         return lambda f: diffracted_response(f, s1_m, s2_m, h_m)
     s1_km, s2_km, d_km = path_lengths(tx, rx, position)
-    s1_m, s2_m, d_m = s1_km * 1e3, s2_km * 1e3, d_km * 1e3
+    s1_m, s2_m = s1_km * 1e3, s2_km * 1e3
+    length_m = s1_m + s2_m
     if inter.mechanism is Mechanism.REFLECTION:
-        return lambda f: reflected_response(f, s1_m, s2_m, d_m, material, pol)
+        theta = min(incidence_angle(s1_m, s2_m, d_km * 1e3), math.pi / 2 - 1e-9)
+        return lambda f: reflected_response(f, length_m, theta, material, pol)
     theta = min(incidence_angle(s1_km, s2_km, d_km), math.pi / 2 - 1e-9)
-    sgeom = ScatterGeometry(theta1=theta, theta2=theta,
-                            theta3=inter.scatter_azimuth)
-    return lambda f: scattered_response(f, s1_m, s2_m, d_m, sgeom, material, pol)
+    sgeom = ScatterGeometry(theta, theta, inter.scatter_azimuth)
+    return lambda f: scattered_response(f, length_m, sgeom, material, pol)
 
 
 class ScenePaths:
@@ -379,18 +381,20 @@ class ScenePaths:
 
     def __init__(self, scene: DebrisScene, cfg: SimulationConfig):
         self.scene = scene
-        self.spacing = cfg.channel.spacing
+        self.cfg = cfg
         self._transfers: dict = {}
         self._angles: dict = {None: (0.0, 0.0)}
         self._steering: dict = {}
 
-    def transfer(self, inter: Interaction, material, pol: Polarization):
-        """``path_transfer`` of the interaction, whose object's material and
-        the sample's polarization are the same at every call; a failure
-        raises again at every call."""
+    def transfer(self, inter: Interaction):
+        """``path_transfer`` of the interaction at its object's material and
+        the configured polarization; a failure raises again at every call."""
         key = (inter.object_index, inter.mechanism)
         if key not in self._transfers:
-            self._transfers[key] = path_transfer(self.scene, inter, material, pol)
+            material = self.cfg.materials[
+                self.scene.objects[inter.object_index].debris_class]
+            self._transfers[key] = path_transfer(
+                self.scene, inter, material, self.cfg.channel.polarization)
         return self._transfers[key]
 
     def steering(self, object_index: int | None, n: int) -> np.ndarray:
@@ -401,7 +405,7 @@ class ScenePaths:
                 self._angles[object_index] = _angles(
                     self.scene, self.scene.objects[object_index].position_km)
             self._steering[key] = steering_matrix(
-                n, self.spacing, *self._angles[object_index])
+                n, self.cfg.channel.spacing, *self._angles[object_index])
         return self._steering[key]
 
 
@@ -415,33 +419,29 @@ class SamplePath:
     ``gains`` holds the path's transfer function at each sub-band, or None
     where evaluating it raised.
     """
-    mechanism: Mechanism
     object_index: int | None
     gains: tuple
 
 
 def build_paths(scene_paths: ScenePaths, interactions, grid,
                 cfg: SimulationConfig, flags: list) -> list[SamplePath]:
-    """Resolve the line of sight and every activated interaction into paths.
+    """Resolve the line of sight over ``cfg``'s link and every activated
+    interaction into paths.
 
     Each debris path's transfer function comes from ``scene_paths``,
     resolved once for every carrier; gains are evaluated at each sub-band
-    centre of ``grid``.  Geometry failures (grazing scattering, no
-    knife-edge projection) skip the path, and a gain that raises skips it
+    centre of ``grid``.  A geometry failure (no knife-edge projection)
+    skips the path, and a gain that raises (grazing scattering) skips it
     at that sub-band only; both append a flag instead of aborting the
     sample.
     """
-    scene = scene_paths.scene
-    pol = cfg.channel.polarization
     freqs = [float(f) for f in grid]
-    paths = [SamplePath(
-        mechanism=Mechanism.LOS, object_index=None,
-        gains=tuple(los_response(f, scene.geometry.distance_m) for f in freqs))]
+    paths = [SamplePath(object_index=None, gains=tuple(
+        los_response(f, cfg.link.distance_m) for f in freqs))]
     for inter in interactions:
-        material = cfg.materials[scene.objects[inter.object_index].debris_class]
         error_flag = f"path_error:{inter.mechanism.value}"
         try:
-            transfer = scene_paths.transfer(inter, material, pol)
+            transfer = scene_paths.transfer(inter)
         except DebrisenseError:
             flags.append(error_flag)
             continue
@@ -455,8 +455,7 @@ def build_paths(scene_paths: ScenePaths, interactions, grid,
             except DebrisenseError:
                 gains.append(None)
                 flags.append(error_flag)
-        paths.append(SamplePath(mechanism=inter.mechanism,
-                                object_index=inter.object_index,
+        paths.append(SamplePath(object_index=inter.object_index,
                                 gains=tuple(gains)))
     return paths
 

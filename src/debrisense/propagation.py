@@ -13,19 +13,21 @@ reflection, the Beckmann-Kirchhoff coefficient for scattering, the
 knife-edge loss for diffraction), times the phase exp(-2j*pi*f*tau) of its
 delay tau = (L + excess)/c, where only diffraction has an excess path.
 Reflection and scattering damp with one Rayleigh exponent
-g = (4*pi*sigma*cos(theta)/lambda)^2.
+g = (4*pi*sigma*cos(theta)/lambda)^2, and take the path's unfolded length
+and incidence angle as given: the caller resolves both once per path.
 
 All functions are pure; phases of delay and Doppler terms are wrapped to
 the principal value before exponentiation so that multi-gigacycle phase
 arguments do not lose the complex value to floating-point cancellation.
 
 Reflection, scattering and the Fresnel coefficients read a material at one
-frequency through a :class:`Medium`: its refractive index n, extinction
-coefficient kappa = alpha*c/(4*pi*f), complex index n - j*kappa and wave
-impedance.  :func:`medium` resolves it from the material tables once per
-(material, frequency) and memoizes it, so a campaign interpolates each
-material at each sub-band centre once, not once per path.  A frequency the
-tables do not cover raises MaterialError from every lookup at it.
+frequency through a :class:`Medium`: its complex index n - j*kappa, of
+refractive index n and extinction coefficient kappa = alpha*c/(4*pi*f),
+and its wave impedance.  :func:`medium` resolves it from the material
+tables once per (material, frequency) and memoizes it, so a campaign
+interpolates each material at each sub-band centre once, not once per path.
+A frequency the tables do not cover raises MaterialError from every lookup
+at it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .constants import (FREE_SPACE_IMPEDANCE, SPEED_OF_LIGHT,
                         VACUUM_PERMEABILITY, VACUUM_PERMITTIVITY)
 from .errors import GrazingGeometryError
 from .materials import MaterialProperties
-from .scene import diffraction_excess_path, incidence_angle
+from .scene import diffraction_excess_path
 
 
 class Polarization(enum.Enum):
@@ -112,13 +114,11 @@ def los_response(f_hz: float, distance_m: float) -> complex:
 class Medium:
     """A material's electromagnetic constants at one frequency.
 
-    ``n`` is the refractive index, ``kappa`` the extinction coefficient
-    alpha*c/(4*pi*f), ``n_c`` the complex index n - j*kappa and ``z`` the
+    ``n_c`` is the complex index n - j*kappa of the refractive index n and
+    the extinction coefficient kappa = alpha*c/(4*pi*f), and ``z`` the
     intrinsic wave impedance in ohms.
     """
 
-    n: float
-    kappa: float
     n_c: complex
     z: complex
 
@@ -132,7 +132,7 @@ def medium(material: MaterialProperties, f_hz: float) -> Medium:
     n = material.refractive_index(f_hz)
     kappa = material.absorption(f_hz) * SPEED_OF_LIGHT / (4.0 * math.pi * f_hz)
     eps_rel = complex(n * n - kappa * kappa, -2.0 * n * kappa)
-    return Medium(n=n, kappa=kappa, n_c=complex(n, -kappa),
+    return Medium(n_c=complex(n, -kappa),
                   z=cmath.sqrt(VACUUM_PERMEABILITY / (VACUUM_PERMITTIVITY * eps_rel)))
 
 
@@ -191,16 +191,15 @@ def reflection_coefficient(f_hz: float, theta_i: float,
     return roughness_coefficient(f_hz, material.roughness_sigma_m, theta_i) * gamma
 
 
-def reflected_response(f_hz: float, s1_m: float, s2_m: float, d_m: float,
-                       material: MaterialProperties,
-                       pol: Polarization) -> complex:
-    """Reflected-path transfer function.
+def reflected_response(f_hz: float, length_m: float, theta_i: float,
+                       material: MaterialProperties, pol: Polarization) -> complex:
+    """Reflected-path transfer function over the unfolded ``length_m``.
 
-    Magnitude is the FSPL of the unfolded path times |R|; the delay is the
-    direct-path delay plus the geometric excess.
+    Magnitude is the FSPL of the unfolded path times |R| at the incidence
+    angle ``theta_i``; the delay is that of the unfolded path.
     """
-    return _path_transfer(f_hz, s1_m + s2_m, lambda: (reflection_coefficient(
-        f_hz, incidence_angle(s1_m, s2_m, d_m), material, pol), 0.0))
+    return _path_transfer(f_hz, length_m, lambda: (reflection_coefficient(
+        f_hz, theta_i, material, pol), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +347,10 @@ def scattering_coefficient(f_hz: float, geom: ScatterGeometry,
     return gamma * math.sqrt(bracket)
 
 
-def scattered_response(f_hz: float, s1_m: float, s2_m: float, d_m: float,
-                       geom: ScatterGeometry, material: MaterialProperties,
-                       pol: Polarization) -> complex:
+def scattered_response(f_hz: float, length_m: float, geom: ScatterGeometry,
+                       material: MaterialProperties, pol: Polarization) -> complex:
     """Scattered-path transfer function; same FSPL/delay structure as reflection."""
-    return _path_transfer(f_hz, s1_m + s2_m, lambda: (
+    return _path_transfer(f_hz, length_m, lambda: (
         scattering_coefficient(f_hz, geom, material, pol), 0.0))
 
 

@@ -30,7 +30,6 @@ class DebrisClass:
 
 
 class Mechanism(enum.Enum):
-    LOS = "los"
     REFLECTION = "reflection"
     SCATTERING = "scattering"
     DIFFRACTION = "diffraction"

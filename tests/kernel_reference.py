@@ -7,7 +7,8 @@ term and took both exponentials of each log-sum-exp step (and stopped at its
 term cap with a warning), every Fresnel evaluation re-read the material
 tables, a sub-band channel was summed from per-sub-band path records
 carrying (azimuth, elevation) angle pairs, and each path response wrote out
-its own FSPL x coefficient x delay-phase product and Rayleigh exponent.
+its own FSPL x coefficient x delay-phase product and Rayleigh exponent, with
+reflection resolving its incidence angle from the legs at every call.
 The current kernels must return bit-identical values and leave the
 generator in the same state.
 """

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import kernel_reference as ref
 from debrisense.channel import subband_grid
 from debrisense.configio import (CAMPAIGN_KINDS, CAMPAIGN_SWEEPS, CampaignGrid,
                                  default_config)
@@ -29,12 +30,11 @@ from debrisense.linksim import (CsiMethod, complex_normal, estimate_csi,
                                 qpsk_demodulate, qpsk_modulate, transmit,
                                 zf_equalize)
 from debrisense.propagation import (Polarization, ScatterGeometry,
-                                    diffracted_response, reflected_response,
-                                    scattered_response)
+                                    diffracted_response, scattered_response)
 from debrisense.scene import (DEBRIS_MECHANISMS, DebrisClass, DebrisObject,
-                              LinkGeometry, Mechanism, SceneConfig,
-                              generate_scene, incidence_angle, path_lengths,
-                              perpendicular_clearance)
+                              DebrisScene, LinkGeometry, Mechanism,
+                              SceneConfig, generate_scene, incidence_angle,
+                              path_lengths, perpendicular_clearance)
 
 
 def tiny_cfg(samples=12, kind="frequency_snr"):
@@ -290,10 +290,13 @@ def bits(value: complex) -> bytes:
 class TestPathGeometryFlow:
     def test_path_transfer_matches_responses_on_geometry(self):
         # each path's transfer function is its response function on the
-        # path geometry: the legs in metres for reflection and scattering,
-        # scattering at the clamped incidence angle of the legs in km, and
-        # the along-axis split at the clearance for diffraction, which has
-        # no path exactly where the debris does not project onto the link
+        # path geometry: the unfolded legs in metres for reflection and
+        # scattering, reflection at the incidence angle of the legs in
+        # metres (bit for bit the reference, which resolves it at every
+        # call), scattering at the clamped incidence angle of the legs in
+        # km, and the along-axis split at the clearance for diffraction,
+        # which has no path exactly where the debris does not project onto
+        # the link
         cfg = default_config()
         material = cfg.materials[DebrisClass.ROUGH_METAL]
         scene = generate_scene(SceneConfig(
@@ -314,10 +317,10 @@ class TestPathGeometryFlow:
             sgeom = ScatterGeometry(theta1=theta, theta2=theta, theta3=0.5)
             clearance = perpendicular_clearance(tx, rx, obj.position_km)
             expected = {
-                Mechanism.REFLECTION: lambda f: reflected_response(
+                Mechanism.REFLECTION: lambda f: ref.reflected_response(
                     f, s1 * 1e3, s2 * 1e3, d * 1e3, material, pol),
                 Mechanism.SCATTERING: lambda f: scattered_response(
-                    f, s1 * 1e3, s2 * 1e3, d * 1e3, sgeom, material, pol),
+                    f, s1 * 1e3 + s2 * 1e3, sgeom, material, pol),
             }
             if clearance is not None:
                 h_m, a1, a2 = clearance
@@ -388,13 +391,34 @@ class TestPathGeometryFlow:
                         for mech in (Mechanism.REFLECTION, Mechanism.SCATTERING)]
         flags = []
         paths = build_paths(ScenePaths(scene, cfg), interactions, grid, cfg, flags)
-        assert [p.mechanism for p in paths[1:]] == [Mechanism.REFLECTION,
-                                                    Mechanism.SCATTERING]
+        assert [p.object_index for p in paths] == [None, 0, 0]
         for path in paths[1:]:
             assert all(g is not None for g in path.gains[:4])
             assert all(g is None for g in path.gains[4:])
         assert flags == (["path_error:reflection"] * 4
                          + ["path_error:scattering"] * 4)
+
+    def test_on_axis_debris_reflects_below_grazing(self):
+        # debris on the link axis closes a flat relay triangle: reflection
+        # runs at the incidence angle clamped below grazing, scattering
+        # fails its grazing check at every sub-band and diffraction has no
+        # clearance to diffract over
+        cfg = default_config()
+        grid = subband_grid(3e12, 8, cfg.channel.bandwidth_hz)
+        scene = DebrisScene(
+            geometry=cfg.link, semi_axes_km=(250.0, 50.0, 50.0),
+            density_per_km3=0.0, seed=0, objects=(
+                DebrisObject((250.0, 0.0, 0.0), DebrisClass.SMOOTH_GLASS),))
+        interactions = [Interaction(object_index=0, mechanism=mech,
+                                    scatter_azimuth=0.5)
+                        for mech in DEBRIS_MECHANISMS]
+        flags = []
+        paths = build_paths(ScenePaths(scene, cfg), interactions, grid, cfg, flags)
+        los, reflection, scattering = paths
+        assert all(np.isfinite(g) and 0.0 < abs(g) < abs(g_los)
+                   for g, g_los in zip(reflection.gains, los.gains))
+        assert scattering.gains == (None,) * len(grid)
+        assert flags == ["path_error:scattering"] * len(grid) + ["diff_skip"]
 
     def test_rank_deficient_channel_flagged_at_half_ber(self):
         # perfect CSI over an empty scene leaves a rank-1 channel: every

@@ -1,10 +1,19 @@
-"""Golden digests of reduced headline campaigns.
+"""Golden digests of reduced headline campaigns, and their numeric companion.
 
 Each digest is the SHA-256 over every output file of
 ``reproduce_table(table, 7, samples=samples)``, taken in name order as the
 file name followed by its bytes.  A change that is meant to leave outputs
 alone must keep them byte for byte; regenerate a digest only together with
 a CHANGES.md entry that says why the outputs moved.
+
+The digests hold only on the numpy and BLAS that recorded them.  The
+numeric companion (``tests/golden_companion.py``, stored in
+``tests/golden_companion.json.gz``) checks the same serial campaigns by
+value: ``metrics.csv`` and the five feature columns at rtol 1e-9, every
+``pred_label`` exactly and every ``det_value`` within an absolute 1e-9.  It
+is what another platform, or a change that only reorders floating-point
+work, must still pass; a change that moves outputs re-records it with the
+digests.
 """
 
 import hashlib
@@ -12,6 +21,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import golden_companion
 from debrisense.experiments import reproduce_table
 
 # Recorded with numpy 2.4.6 on x86-64 (scipy-openblas).
@@ -31,12 +41,29 @@ def output_digest(out_dir) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("table,samples", sorted(GOLDEN))
-def test_reduced_campaign_matches_golden_digest(tmp_path, table, samples):
-    reproduce_table(table, 7, tmp_path, samples=samples)
-    assert output_digest(tmp_path) == GOLDEN[(table, samples)], (
+@pytest.fixture(scope="module", params=sorted(GOLDEN),
+                ids=lambda key: f"{key[0]}-{key[1]}")
+def serial_campaign(request, tmp_path_factory):
+    """(table, samples, output directory) of one serial golden campaign,
+    run once for the digest and the companion."""
+    table, samples = request.param
+    out = tmp_path_factory.mktemp(f"table{table}")
+    reproduce_table(table, 7, out, samples=samples)
+    return table, samples, out
+
+
+def test_reduced_campaign_matches_golden_digest(serial_campaign):
+    table, samples, out = serial_campaign
+    assert output_digest(out) == GOLDEN[(table, samples)], (
         f"outputs of table {table} at {samples} samples changed "
         f"(digest recorded with numpy {GOLDEN_NUMPY}, running {np.__version__})")
+
+
+def test_reduced_campaign_matches_numeric_companion(serial_campaign):
+    table, samples, out = serial_campaign
+    fixture = golden_companion.outputcheck.read_snapshot(golden_companion.FIXTURE)
+    expected = fixture[golden_companion.campaign_key(table, samples)]
+    golden_companion.check_companion(expected, golden_companion.companion(out))
 
 
 @pytest.mark.parametrize("table,samples", sorted(GOLDEN))

@@ -296,9 +296,8 @@ class TestReflection:
         f = 3e12
         s1 = s2 = 250.2e3
         d = 500e3
-        got = reflected_response(f, s1, s2, d, GLASS, Polarization.TE)
-        from debrisense.scene import incidence_angle
         theta = incidence_angle(s1, s2, d)
+        got = reflected_response(f, s1 + s2, theta, GLASS, Polarization.TE)
         r = reflection_coefficient(f, theta, GLASS, Polarization.TE)
         amp = fspl_amplitude(f, s1 + s2)
         phase = wrapped_phase_factor(f * (s1 + s2) / SPEED_OF_LIGHT)
@@ -307,8 +306,8 @@ class TestReflection:
     def test_weaker_than_los_for_longer_path(self):
         f = 3e12
         los = abs(los_response(f, 500e3))
-        refl = abs(reflected_response(f, 255e3, 255e3, 500e3, GLASS,
-                                      Polarization.TE))
+        theta = incidence_angle(255e3, 255e3, 500e3)
+        refl = abs(reflected_response(f, 510e3, theta, GLASS, Polarization.TE))
         assert refl < los
 
     def test_phase_slope_across_frequency_equals_path_delay(self):
@@ -317,8 +316,9 @@ class TestReflection:
         s1 = s2 = 255e3
         tau = (s1 + s2) / SPEED_OF_LIGHT
         f0, df = 3e12, 25e3  # small offset so the phase step stays unwrapped
-        a = reflected_response(f0, s1, s2, 500e3, GLASS, Polarization.TE)
-        b = reflected_response(f0 + df, s1, s2, 500e3, GLASS, Polarization.TE)
+        theta = incidence_angle(s1, s2, 500e3)
+        a = reflected_response(f0, s1 + s2, theta, GLASS, Polarization.TE)
+        b = reflected_response(f0 + df, s1 + s2, theta, GLASS, Polarization.TE)
         step = cmath.phase(b / a)
         expected = -2 * math.pi * df * tau
         expected = math.remainder(expected, 2 * math.pi)
@@ -375,9 +375,8 @@ class TestKernelsMatchReference:
             f = float(f)
             med = medium(material, f)
             assert medium(material, f) is med  # resolved once, then reused
-            assert med.n == material.refractive_index(f)
+            assert med.n_c.real == material.refractive_index(f)
             assert med.n_c == ref.complex_refractive_index(f, material)
-            assert med.kappa == -med.n_c.imag
             assert med.z == ref.wave_impedance(f, material)
             assert wave_impedance(f, material) == med.z
             for theta in (0.0, 0.3, 1.2, math.radians(89.9)):
@@ -489,7 +488,7 @@ class TestScatteringCoefficient:
         f = 3e12
         s1 = s2 = 255e3
         geom = ScatterGeometry(theta1=0.6, theta2=0.6, theta3=0.4)
-        got = scattered_response(f, s1, s2, 500e3, geom, METAL, Polarization.TE)
+        got = scattered_response(f, s1 + s2, geom, METAL, Polarization.TE)
         coeff = scattering_coefficient(f, geom, METAL, Polarization.TE)
         amp = fspl_amplitude(f, s1 + s2)
         phase = wrapped_phase_factor(f * (s1 + s2) / SPEED_OF_LIGHT)
@@ -578,9 +577,11 @@ class TestResponsesMatchReference:
             assert los_response(f, 5e5) == ref.los_response(f, 5e5)
             for pos in self.POSITIONS:
                 s1, s2, d = path_lengths((0, 0, 0), (500, 0, 0), pos)
-                args = (f, s1 * 1e3, s2 * 1e3, d * 1e3)
-                assert reflected_response(*args, material, pol) == \
-                    ref.reflected_response(*args, material, pol)
+                legs = (s1 * 1e3, s2 * 1e3, d * 1e3)
+                length_m = legs[0] + legs[1]
+                assert reflected_response(
+                    f, length_m, incidence_angle(*legs), material, pol) == \
+                    ref.reflected_response(f, *legs, material, pol)
                 theta = min(incidence_angle(s1, s2, d), math.pi / 2 - 1e-9)
                 c = math.cos(theta)
                 for azimuth in (0.0, 2.0, 5.5):
@@ -588,10 +589,10 @@ class TestResponsesMatchReference:
                     if abs(c * (c + c)) < 1e-12:
                         grazing += 1
                         with pytest.raises(GrazingGeometryError):
-                            scattered_response(*args, geom, material, pol)
+                            scattered_response(f, length_m, geom, material, pol)
                         continue
-                    assert scattered_response(*args, geom, material, pol) == \
-                        ref.scattered_response(*args, geom, material, pol)
+                    assert scattered_response(f, length_m, geom, material, pol) == \
+                        ref.scattered_response(f, *legs, geom, material, pol)
                 h_m, a1, a2 = perpendicular_clearance((0, 0, 0), (500, 0, 0), pos)
                 assert diffracted_response(f, a1 * 1e3, a2 * 1e3, h_m) == \
                     ref.diffracted_response(f, a1 * 1e3, a2 * 1e3, h_m)
@@ -611,13 +612,12 @@ class TestOperatingPointBounds:
             from debrisense.scene import incidence_angle, path_lengths
             s1, s2, d = path_lengths((0, 0, 0), (500, 0, 0), debris)
             for mat in (GLASS, METAL):
-                refl = reflected_response(f, s1 * 1e3, s2 * 1e3, 5e5, mat,
-                                          Polarization.TE)
-                assert abs(refl) <= 1.0
                 theta = min(incidence_angle(s1, s2, d), math.pi / 2 - 1e-9)
+                length_m = s1 * 1e3 + s2 * 1e3
+                refl = reflected_response(f, length_m, theta, mat, Polarization.TE)
+                assert abs(refl) <= 1.0
                 geom = ScatterGeometry(theta1=theta, theta2=theta, theta3=0.7)
-                sca = scattered_response(f, s1 * 1e3, s2 * 1e3, 5e5, geom, mat,
-                                         Polarization.TE)
+                sca = scattered_response(f, length_m, geom, mat, Polarization.TE)
                 assert abs(sca) <= 1.0
                 assert np.isfinite(abs(sca))
             diff = diffracted_response(f, x * 1e3, (500 - x) * 1e3, r * 1e3)
