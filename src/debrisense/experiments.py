@@ -341,11 +341,11 @@ def path_transfer(scene: DebrisScene, inter: Interaction, material,
     where a knife edge has no projection.
 
     Reflection and scattering run over the unfolded slant legs of the relay
-    triangle, at one incidence angle clamped below grazing: reflection's
-    from the legs in metres, scattering's from the legs in km.  Diffraction
-    runs over the along-axis split at the obstruction and needs the debris
-    to project onto the open segment at a nonzero clearance.  The response
-    functions are looked up in this module when the path is evaluated.
+    triangle, at one incidence angle from the legs in km, clamped below
+    grazing.  Diffraction runs over the along-axis split at the obstruction
+    and needs the debris to project onto the open segment at a nonzero
+    clearance.  The response functions are looked up in this module when
+    the path is evaluated.
     """
     tx = scene.tx_position_km
     rx = scene.rx_position_km
@@ -358,12 +358,10 @@ def path_transfer(scene: DebrisScene, inter: Interaction, material,
         s1_m, s2_m = s1_km * 1e3, s2_km * 1e3
         return lambda f: diffracted_response(f, s1_m, s2_m, h_m)
     s1_km, s2_km, d_km = path_lengths(tx, rx, position)
-    s1_m, s2_m = s1_km * 1e3, s2_km * 1e3
-    length_m = s1_m + s2_m
-    if inter.mechanism is Mechanism.REFLECTION:
-        theta = min(incidence_angle(s1_m, s2_m, d_km * 1e3), math.pi / 2 - 1e-9)
-        return lambda f: reflected_response(f, length_m, theta, material, pol)
+    length_m = s1_km * 1e3 + s2_km * 1e3
     theta = min(incidence_angle(s1_km, s2_km, d_km), math.pi / 2 - 1e-9)
+    if inter.mechanism is Mechanism.REFLECTION:
+        return lambda f: reflected_response(f, length_m, theta, material, pol)
     sgeom = ScatterGeometry(theta, theta, inter.scatter_azimuth)
     return lambda f: scattered_response(f, length_m, sgeom, material, pol)
 
@@ -433,20 +431,24 @@ def build_paths(scene_paths: ScenePaths, interactions, grid,
     centre of ``grid``.  A geometry failure (no knife-edge projection)
     skips the path, and a gain that raises (grazing scattering) skips it
     at that sub-band only; both append a flag instead of aborting the
-    sample.
+    sample.  It appends the kept paths' sub-band flags first, in
+    interaction order, and then one flag per skipped interaction, so the
+    last ``len(interactions) - (len(paths) - 1)`` flags are the skip
+    reasons.
     """
     freqs = [float(f) for f in grid]
     paths = [SamplePath(object_index=None, gains=tuple(
         los_response(f, cfg.link.distance_m) for f in freqs))]
+    skips = []
     for inter in interactions:
         error_flag = f"path_error:{inter.mechanism.value}"
         try:
             transfer = scene_paths.transfer(inter)
         except DebrisenseError:
-            flags.append(error_flag)
+            skips.append(error_flag)
             continue
         if transfer is None:
-            flags.append("diff_skip")
+            skips.append("diff_skip")
             continue
         gains = []
         for f in freqs:
@@ -457,6 +459,7 @@ def build_paths(scene_paths: ScenePaths, interactions, grid,
                 flags.append(error_flag)
         paths.append(SamplePath(object_index=inter.object_index,
                                 gains=tuple(gains)))
+    flags.extend(skips)
     return paths
 
 

@@ -208,9 +208,6 @@ def reflected_response(f_hz: float, length_m: float, theta_i: float,
 
 SERIES_MAX_TERMS = 200
 SERIES_REL_TOL = 1e-10
-# A forward sum that reaches the term cap is kept if its last term adds at
-# most this much of the sum, and summed again about its largest term if not.
-SERIES_CAP_TOL = 1e-6
 
 
 @functools.lru_cache(maxsize=16)
@@ -275,12 +272,10 @@ def _log_series_sum(g_sca: float, vxy_sq_lcorr_sq: float, max_terms: int) -> flo
             log_sum = log_term + log(exp(log_sum - log_term) + 1.0)
         else:
             log_sum = log_sum + log(1.0 + exp(log_term - log_sum))
-        last_rel = exp(log_term - log_sum)
-        if last_rel < SERIES_REL_TOL:
-            break
-    if last_rel > SERIES_CAP_TOL:
-        return _log_series_window(g_sca, vxy_sq_lcorr_sq)
-    return log_sum
+        if exp(log_term - log_sum) < SERIES_REL_TOL:
+            return log_sum
+    # the cap came first: sum again over the window about the largest term
+    return _log_series_window(g_sca, vxy_sq_lcorr_sq)
 
 
 def scattering_series_sum(g_sca: float, vxy_sq_lcorr_sq: float,
@@ -290,10 +285,9 @@ def scattering_series_sum(g_sca: float, vxy_sq_lcorr_sq: float,
     Evaluated in log space (terms overflow float64 long before convergence
     for rough surfaces).  Summed forward from m = 1, truncated once the
     next term's relative contribution drops below SERIES_REL_TOL; a series
-    whose last term at ``max_terms`` still adds more than SERIES_CAP_TOL of
-    the sum is summed again over the window about its largest term.  A sum
-    beyond the float range (from g of about 700) raises OverflowError;
-    ``scattering_coefficient`` reads its log instead.
+    that reaches ``max_terms`` first is summed again over the window about
+    its largest term.  A sum beyond the float range (from g of about 700)
+    raises OverflowError; ``scattering_coefficient`` reads its log instead.
     """
     return math.exp(_log_series_sum(g_sca, vxy_sq_lcorr_sq, max_terms))
 

@@ -11,6 +11,10 @@ to tolerance, the free-set KKT system is solved exactly (a "polish" step)
 so the returned model is effectively at the dual optimum; this makes
 training insensitive to row order well below the stated tolerance.
 
+Training and scoring read one kernel product, ``KernelSpec.matrix``,
+built row by row, so neither a model nor a decision value depends on the
+batch or on the BLAS thread count.
+
 Multi-class problems use one-vs-one voting with ties broken by summed
 decision values, then by fixed class order.
 """
@@ -42,19 +46,13 @@ class KernelSpec:
             raise ValueError(f"unknown kernel {self.kind!r}")
 
     def matrix(self, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-        """K[i, j] = k(xa[i], xb[j]), from one matrix product."""
-        return self._from_products(xa @ xb.T, xa, xb)
-
-    def rowwise(self, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
         """K[i, j] = k(xa[i], xb[j]), each row from its own matrix-vector
         product ``xb @ xa[i]``, so that a row's entries are the same bits
-        whatever other rows ``xa`` holds.  One matrix product could run as
-        a blocked gemm, whose sums differ from a gemv's in the last bits.
+        whatever other rows ``xa`` holds and however many threads the BLAS
+        runs.  One matrix product could run as a blocked gemm, whose sums
+        differ from a gemv's in the last bits, and with the thread count.
         """
-        return self._from_products(np.matmul(xb, xa[:, :, None])[:, :, 0], xa, xb)
-
-    def _from_products(self, prod: np.ndarray, xa: np.ndarray,
-                       xb: np.ndarray) -> np.ndarray:
+        prod = np.matmul(xb, xa[:, :, None])[:, :, 0]
         if self.kind == "linear":
             return prod
         sq = (np.sum(xa * xa, axis=1)[:, None]
@@ -101,7 +99,7 @@ class BinarySvm:
         own kernel row and dot product, so its value is the same bits
         alone or in any batch."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        k = self.kernel.rowwise(x, self.support_x)
+        k = self.kernel.matrix(x, self.support_x)
         return np.matmul(self.alpha * self.support_y, k[:, :, None])[:, 0] + self.bias
 
     def dual_objective(self) -> float:

@@ -9,7 +9,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import kernel_reference as ref
 from debrisense.channel import subband_grid
 from debrisense.configio import (CAMPAIGN_KINDS, CAMPAIGN_SWEEPS, CampaignGrid,
                                  default_config)
@@ -30,7 +29,8 @@ from debrisense.linksim import (CsiMethod, complex_normal, estimate_csi,
                                 qpsk_demodulate, qpsk_modulate, transmit,
                                 zf_equalize)
 from debrisense.propagation import (Polarization, ScatterGeometry,
-                                    diffracted_response, scattered_response)
+                                    diffracted_response, reflected_response,
+                                    scattered_response)
 from debrisense.scene import (DEBRIS_MECHANISMS, DebrisClass, DebrisObject,
                               DebrisScene, LinkGeometry, Mechanism,
                               SceneConfig, generate_scene, incidence_angle,
@@ -291,10 +291,8 @@ class TestPathGeometryFlow:
     def test_path_transfer_matches_responses_on_geometry(self):
         # each path's transfer function is its response function on the
         # path geometry: the unfolded legs in metres for reflection and
-        # scattering, reflection at the incidence angle of the legs in
-        # metres (bit for bit the reference, which resolves it at every
-        # call), scattering at the clamped incidence angle of the legs in
-        # km, and the along-axis split at the clearance for diffraction,
+        # scattering, both at the one clamped incidence angle of the legs
+        # in km, and the along-axis split at the clearance for diffraction,
         # which has no path exactly where the debris does not project onto
         # the link
         cfg = default_config()
@@ -317,8 +315,8 @@ class TestPathGeometryFlow:
             sgeom = ScatterGeometry(theta1=theta, theta2=theta, theta3=0.5)
             clearance = perpendicular_clearance(tx, rx, obj.position_km)
             expected = {
-                Mechanism.REFLECTION: lambda f: ref.reflected_response(
-                    f, s1 * 1e3, s2 * 1e3, d * 1e3, material, pol),
+                Mechanism.REFLECTION: lambda f: reflected_response(
+                    f, s1 * 1e3 + s2 * 1e3, theta, material, pol),
                 Mechanism.SCATTERING: lambda f: scattered_response(
                     f, s1 * 1e3 + s2 * 1e3, sgeom, material, pol),
             }
@@ -418,6 +416,26 @@ class TestPathGeometryFlow:
         assert all(np.isfinite(g) and 0.0 < abs(g) < abs(g_los)
                    for g, g_los in zip(reflection.gains, los.gains))
         assert scattering.gains == (None,) * len(grid)
+        assert flags == ["path_error:scattering"] * len(grid) + ["diff_skip"]
+
+    def test_skip_flags_follow_kept_path_flags(self):
+        # a skipped knife edge before a kept scattering path that fails at
+        # every sub-band: the skip reason is still the last flag, one per
+        # skipped interaction, after the kept path's sub-band flags
+        cfg = default_config()
+        grid = subband_grid(3e12, 8, cfg.channel.bandwidth_hz)
+        scene = DebrisScene(
+            geometry=cfg.link, semi_axes_km=(250.0, 50.0, 50.0),
+            density_per_km3=0.0, seed=0, objects=(
+                DebrisObject((250.0, 0.0, 0.0), DebrisClass.SMOOTH_GLASS),))
+        interactions = [Interaction(object_index=0, mechanism=mech,
+                                    scatter_azimuth=0.5)
+                        for mech in (Mechanism.DIFFRACTION, Mechanism.SCATTERING)]
+        flags = []
+        paths = build_paths(ScenePaths(scene, cfg), interactions, grid, cfg, flags)
+        skipped = len(interactions) - (len(paths) - 1)
+        assert skipped == 1
+        assert flags[-skipped:] == ["diff_skip"]
         assert flags == ["path_error:scattering"] * len(grid) + ["diff_skip"]
 
     def test_rank_deficient_channel_flagged_at_half_ber(self):

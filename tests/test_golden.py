@@ -27,9 +27,9 @@ from debrisense.experiments import reproduce_table
 # Recorded with numpy 2.4.6 on x86-64 (scipy-openblas).
 GOLDEN_NUMPY = "2.4.6"
 GOLDEN = {
-    (1, 24): "da779bd1e89e78afe3a9d598b1e7d8d602a982ec272a5caf1a01e9e7f50e0b45",
-    (2, 60): "fca80c7de7f3383a60b2b15a4069369addcc8dbef59de027ef42ff4266ee2095",
-    (3, 24): "c1ce103a8a1edd23f3c0fae8232383126e2186c02abca4a8119a5a1cc87ee534",
+    (1, 24): "5224cd4e6fb27238a4208562cc67a154b8ce6303166c267a7bee7897de454c7a",
+    (2, 60): "ac3e741b912de6d07ceee21e46412ff53caa32fa004e191d0c23563d574faf3b",
+    (3, 24): "447b808160b1d5c8d021abe17b552351c93f2a49b8156f134e3adc88eb144ad5",
 }
 
 

@@ -346,12 +346,14 @@ class TestScatteringSeries:
     @pytest.mark.parametrize("g,vxy2l2,max_terms", [
         (120.0, 0.5, 100), (250.0, 40.0, 100), (400.0, 0.0, 100),
         (439.0, 0.0, 200), (439.0, 2600.0, 200), (439.0, 1e5, 400),
-        (700.0, 10.0, 200), (20.0, 4e4, 60), (0.5, 1e4, 20)])
+        (700.0, 10.0, 200), (20.0, 4e4, 60), (0.5, 1e4, 20),
+        (130.0, 2606.0, 200)])
     def test_capped_series_matches_direct_sum(self, g, vxy2l2, max_terms):
-        # the forward sum stops at its cap well short of convergence here
-        # (at g = 439, v = 0, rough metal at 5 THz, its log is 348.98 against
-        # the series' 432.92; the last two peak far above m = g); the sum
-        # over the window about its largest term is the full series
+        # the forward sum stops at its cap short of convergence here (at
+        # g = 439, v = 0, rough metal at 5 THz, its log is 348.98 against
+        # the series' 432.92; the last two peak far above m = g; at g = 130
+        # its last term still adds between 1e-10 and 1e-6 of the sum); the
+        # sum over the window about its largest term is the full series
         got = scattering_series_sum(g, vxy2l2, max_terms)
         assert got == pytest.approx(direct_series_sum(g, vxy2l2), rel=1e-10)
 

@@ -228,12 +228,12 @@ class TestSerialization:
         digests = {name: hashlib.sha256(model_to_json(m).encode()).hexdigest()
                    for name, m in models.items()}
         assert digests == {
-            "detection": "4cc0c357b841813ad441bbcf1804933a"
-                         "77f87c95308281216febc33ea79f44ca",
-            "one_vs_one": "ae998e690bbc46004b70c7cc7164d546"
-                          "daf2d10e891fc9585833a39d1300bd54",
-            "two_debris": "1e58fc4c25d8342271132b1810debd85"
-                          "80567b57d3e4f2b2ed2cbbbff66ff061",
+            "detection": "511b1b09fb21db8d326401199bfe1242"
+                         "c622d34101408cca64601ed6621b2646",
+            "one_vs_one": "599afb27711d3d35cdd52ded2670bdfb"
+                          "929704b83f9b392665a78d5d6f5e0404",
+            "two_debris": "46c471ed07c5614f35e63068092111be"
+                          "30c0dae80f44dbc8f426431517e81e63",
         }
 
     def test_binary_file_positive_for_earlier_class_rejected(self):

@@ -1,5 +1,10 @@
 """SMO solver tests against the exhaustive dual oracle and KKT audits."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,6 +88,46 @@ class TestScoring:
         assert svm.decision(rows[::-1])[::-1].tobytes() == batch.tobytes()
         gram = (svm.alpha * svm.support_y) @ svm.kernel.matrix(svm.support_x, rows)
         np.testing.assert_allclose(batch, gram + svm.bias, rtol=1e-12, atol=1e-12)
+
+
+# Prints the bytes of the kernel matrix and of the trained model of a fixed
+# 420 x 5 set, about one table 1 detection training set, as hex lines.  On
+# this set a gemm's thread-dependent last bits survive the RBF's exp; on
+# some sets (seed 42) they round away and a gemm kernel would pass.
+_THREAD_PROBE = """
+import numpy as np
+from debrisense.svm import KernelSpec, train_binary
+rng = np.random.default_rng(0)
+x = rng.normal(size=(420, 5))
+y = np.where(x[:, 0] + 0.5 * x[:, 1] ** 2 + rng.normal(size=420) > 0.3, 1.0, -1.0)
+kernel = KernelSpec("rbf", gamma=0.2)
+model = train_binary(x, y, kernel, c=1.0)
+print(kernel.matrix(x, x).tobytes().hex())
+print(model.alpha.tobytes().hex())
+print(np.float64(model.bias).tobytes().hex())
+"""
+
+
+def _thread_probe(blas_threads: int) -> list[str]:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+class TestBlasThreadCount:
+    def test_kernel_and_model_same_bits_at_one_and_two_blas_threads(self):
+        # a blocked gemm sums in an order that depends on the thread count;
+        # the kernel matrix, and the model trained on it, must not
+        kernel_1, alpha_1, bias_1 = _thread_probe(1)
+        kernel_2, alpha_2, bias_2 = _thread_probe(2)
+        assert kernel_1 == kernel_2
+        assert alpha_1 == alpha_2
+        assert bias_1 == bias_2
 
 
 class TestTraining:
