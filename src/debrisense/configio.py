@@ -1,16 +1,15 @@
 """Simulation configuration: defaults, INI parsing, reference generation.
 
 Config files are INI text with sections [link], [scene], [materials],
-[interactions], [channel], [svm], [campaign].  Every value has a shipped
+[interactions], [channel], [svm], [campaign], read by
+``materials.read_ini`` as material files are.  Every value has a shipped
 default; a user file only overrides what it names.  ``_KEYS`` declares each
 INI key once; parsing, the unknown-key check and ``reference_text`` (the
-fully commented default file) all read it.  ``SimulationConfig.linksim`` has
-no section: it is set from code only.
+fully commented default file) all read it.
 """
 
 from __future__ import annotations
 
-import configparser
 import enum
 import math
 from dataclasses import dataclass, field, replace
@@ -21,8 +20,7 @@ import numpy as np
 
 from .channel import subband_grid
 from .errors import ConfigError, MaterialError
-from .linksim import CsiMethod
-from .materials import check_breakpoints, default_materials, load_materials
+from .materials import check_breakpoints, default_materials, load_materials, read_ini
 from .propagation import Polarization
 from .scene import DEBRIS_MECHANISMS, LinkGeometry, Mechanism
 from .svm import DEFAULT_TOL, KERNEL_KINDS
@@ -146,11 +144,6 @@ class ChannelConfig:
 
 
 @dataclass(frozen=True)
-class LinkSimConfig:
-    csi_method: CsiMethod = CsiMethod.LEAST_SQUARES
-
-
-@dataclass(frozen=True)
 class SvmSettings:
     """SVM training settings; a bad value raises ConfigError on construction."""
 
@@ -237,7 +230,6 @@ class SimulationConfig:
     materials: dict = field(default_factory=default_materials)
     interactions: InteractionTable = DEFAULT_INTERACTIONS
     channel: ChannelConfig = field(default_factory=ChannelConfig)
-    linksim: LinkSimConfig = field(default_factory=LinkSimConfig)
     svm: SvmSettings = field(default_factory=SvmSettings)
     campaign: CampaignGrid = field(default_factory=CampaignGrid)
 
@@ -334,23 +326,13 @@ def parse_config(text: str, config_dir=None) -> SimulationConfig:
     A section or key that nothing parses raises ConfigError, so a typo
     fails loudly.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"bad config file: {exc}") from exc
-    if parser.defaults():
-        raise ConfigError("the [DEFAULT] section is not supported, got keys "
-                          + ", ".join(sorted(parser.defaults())))
-
     cfg = default_config()
-    for name in parser.sections():
+    for name, sec in read_ini(text, "config file").items():
         if name not in _KEYS:
             raise ConfigError(f"unknown config section [{name}]")
-        keys, sec, changes = _KEYS[name], parser[name], {}
-        for key in sec:
+        keys, changes = _KEYS[name], {}
+        for key, raw in sec.items():
             try:
-                raw = sec[key]
                 if key in keys:
                     changes[keys[key].attr or key] = keys[key].parse(raw)
                 elif name == "interactions" and key.rpartition("_")[2] in MECHANISM_KEYS:
@@ -366,7 +348,7 @@ def parse_config(text: str, config_dir=None) -> SimulationConfig:
                         Path(config_dir or ".") / raw))
                 else:
                     raise ConfigError(f"unknown config key {key!r} in [{name}]")
-            except (ValueError, configparser.Error) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r} in [{name}]: {exc}") from exc
         if changes:
             cfg = replace(cfg, **{name: replace(getattr(cfg, name), **changes)})

@@ -35,3 +35,7 @@ class TrainingError(DebrisenseError):
 
 class ConvergenceWarning(UserWarning):
     """Series or solver hit its iteration cap before the target tolerance."""
+
+
+class BlasThreadsWarning(UserWarning):
+    """No control was found to run a pool worker's BLAS on one thread."""

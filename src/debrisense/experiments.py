@@ -48,7 +48,8 @@ from .channel import (apply_rician_smallscale, assemble_subband,
                       steering_matrix, subband_grid)
 from .configio import (CAMPAIGN_KINDS, NO_DEBRIS_LABEL, CampaignGrid,
                        SimulationConfig, default_config)
-from .errors import ConfigError, DebrisenseError, EqualizationError, TrainingError
+from .errors import (BlasThreadsWarning, ConfigError, DebrisenseError,
+                     EqualizationError, TrainingError)
 # transmit and estimate_csi are the per-matrix form of the link that
 # simulate_sample runs on stacks; perfbench's layer tracer patches both names
 # on this module
@@ -589,25 +590,21 @@ def _bit_errors(y: np.ndarray, csi: CsiEstimate, bits: np.ndarray,
     return float(np.count_nonzero(qpsk_demodulate(est) != bits.ravel()))
 
 
-def simulate_sample(cond: ConditionSpec, draw: SampleDraw,
-                    cfg: SimulationConfig) -> SampleRecord:
+def simulate_sample(cond: ConditionSpec, draw: SampleDraw) -> SampleRecord:
     """Link and features of one drawn sample at the condition's SNR, run on
-    the draw's sub-band stacks."""
-    method = cfg.linksim.csi_method
+    the draw's sub-band stacks, from the least-squares channel estimate."""
     noise_var = noise_variance(draw.power, cond.snr_db)
-    if method is CsiMethod.PERFECT:
-        csi = draw.channel
-    else:
-        pilot_len = PILOT_FACTOR * cond.n_antennas
-        csi = add_noise(draw.channel,
-                        csi_error_variance(noise_var, cond.n_antennas, pilot_len),
-                        draw.csi_error)
+    csi = add_noise(draw.channel,
+                    csi_error_variance(noise_var, cond.n_antennas,
+                                       PILOT_FACTOR * cond.n_antennas),
+                    draw.csi_error)
     flags = list(draw.flags)
     err_bits = 0.0
     total_bits = 0
     for frame in draw.frames:
         y = add_noise(frame.signal, noise_var[frame.subbands], frame.noise)
-        err_bits += _bit_errors(y, CsiEstimate(csi[frame.subbands], method),
+        err_bits += _bit_errors(y, CsiEstimate(csi[frame.subbands],
+                                               CsiMethod.LEAST_SQUARES),
                                 frame.bits, flags)
         total_bits += frame.bits.size
 
@@ -695,7 +692,7 @@ def run_condition(conds, cfg: SimulationConfig, master_seed: int,
                 draw = draw_sample(family[positions[0]], label, key, scene_paths,
                                    paths, flags, grid, cfg, master_seed)
                 for pos in positions:
-                    records[pos].append(simulate_sample(family[pos], draw, cfg))
+                    records[pos].append(simulate_sample(family[pos], draw))
     return [rec for recs in records for rec in recs]
 
 
@@ -829,6 +826,38 @@ METRICS_CSV_HEADER = ("condition_id,frequency_hz,mimo,snr_db,density,"
 _BLOCKS_PER_WORKER = 2
 
 
+def _blas_thread_setter():
+    """The thread-count setter of the OpenBLAS that numpy's wheels bundle
+    (``numpy.libs/libscipy_openblas64_-*.so``), or None if there is none.
+
+    ctypes is imported here, so that importing this module does not load
+    it.
+    """
+    import ctypes
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    # the library numpy has loaded: dlopen of the same path returns it
+    setter = getattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_set_num_threads64_",
+                     None)
+    if setter is not None:
+        setter.argtypes, setter.restype = (ctypes.c_int,), None
+    return setter
+
+
+def one_blas_thread() -> None:
+    """Run this process's BLAS on one thread, if its setter is found.
+
+    Each pool worker runs this first: two workers whose BLAS each start a
+    thread per core oversubscribe the cores on the N = 64 inverses and
+    products.  A worker's results do not depend on it.
+    """
+    setter = _blas_thread_setter()
+    if setter is not None:
+        setter(1)
+
+
 @dataclass
 class CampaignResult:
     conditions: list
@@ -844,10 +873,12 @@ def run_campaign(cfg: SimulationConfig, master_seed: int,
     Every evaluation group is first checked to be splittable
     (``check_splits``).  The campaign then runs in two phases through one
     mapper: a process pool's ``map`` when ``threads > 1``, the builtin
-    ``map`` otherwise.  First the scene families are simulated, one block
-    of a family's samples per unit of work: the whole family when serial,
-    ``_BLOCKS_PER_WORKER`` blocks per worker when pooled, so that both
-    workers stay busy to the end.  Then each evaluation group is one unit,
+    ``map`` otherwise.  Each pool worker runs its BLAS on one thread
+    (``one_blas_thread``); if no control for that is found, a
+    BlasThreadsWarning says so.  First the scene families are simulated,
+    one block of a family's samples per unit of work: the whole family when
+    serial, ``_BLOCKS_PER_WORKER`` blocks per worker when pooled, so that
+    both workers stay busy to the end.  Then each evaluation group is one unit,
     and trains and scores its machines on the pooled records of its
     conditions.  Results are taken in the order the work was given, so a
     condition's records arrive in sample order and the outputs do not
@@ -868,8 +899,12 @@ def run_campaign(cfg: SimulationConfig, master_seed: int,
         (family, block) for family in scene_families(conditions)
         for block in sample_blocks(family[0].samples, blocks)])
     records: dict[str, list] = {c.condition_id: [] for c in conditions}
-    with (ProcessPoolExecutor(max_workers=threads) if threads > 1
-          else contextlib.nullcontext()) as pool:
+    if threads > 1 and _blas_thread_setter() is None:
+        import warnings
+        warnings.warn("no BLAS thread control found, so each pool worker's BLAS "
+                      "may start a thread per core", BlasThreadsWarning)
+    with (ProcessPoolExecutor(max_workers=threads, initializer=one_blas_thread)
+          if threads > 1 else contextlib.nullcontext()) as pool:
         mapper = map if pool is None else pool.map
         for recs in mapper(run_condition, families, itertools.repeat(cfg),
                            itertools.repeat(master_seed), family_blocks):

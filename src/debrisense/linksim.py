@@ -204,11 +204,10 @@ def zf_equalize(y: np.ndarray, csi: CsiEstimate) -> np.ndarray:
 
     ``csi.matrix`` and ``y`` may carry leading stack axes; each matrix of
     the stack equalizes its own block, and the stack raises if any matrix
-    fails.  A tall estimate is first reduced to its square R factor
-    (H = QR, y -> Q^H y).  The estimate is H^-1 @ y.  Raises
-    EqualizationError unless the estimate has full column rank (Nr >= Nt,
-    smallest singular value above ZF_RANK_TOL of the largest); callers
-    record such samples at BER 0.5 with a flag.
+    fails.  The estimate is H^-1 @ y.  Raises EqualizationError unless the
+    estimate is square (Nr = Nt, as every campaign's N x N arrays are) and
+    has full rank (smallest singular value above ZF_RANK_TOL of the
+    largest); callers record such samples at BER 0.5 with a flag.
 
     The values-only SVD that applies that rule runs only on the matrices
     whose Frobenius bound kappa_2 <= kappa_F = ||H||_F ||H^-1||_F cannot
@@ -220,12 +219,9 @@ def zf_equalize(y: np.ndarray, csi: CsiEstimate) -> np.ndarray:
     """
     h, y = np.asarray(csi.matrix), np.asarray(y)
     n_rx, n_tx = h.shape[-2:]
-    if n_rx < n_tx:
+    if n_rx != n_tx:
         raise EqualizationError(
-            f"{n_rx}x{n_tx} CSI is wide; zero-forcing needs full column rank")
-    if n_rx > n_tx:
-        q, h = np.linalg.qr(h)
-        y = q.conj().swapaxes(-1, -2) @ y
+            f"{n_rx}x{n_tx} CSI is not square; zero-forcing needs an N x N estimate")
     try:
         h_inv = np.linalg.inv(h)
     except np.linalg.LinAlgError:

@@ -18,6 +18,27 @@ from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError, MaterialError
 
 
+def read_ini(text: str, kind: str) -> dict[str, dict[str, str]]:
+    """The sections of INI ``text``, in file order, as {section: {key: value}}.
+
+    Config and material files both go through here.  Values are read as
+    written (a ``%`` is a character of the value, not the start of an
+    interpolation), ``#`` and ``;`` start inline comments, and keys are
+    lower-cased.  Unreadable text or a non-empty ``[DEFAULT]`` section
+    raises ConfigError naming ``kind``.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"bad {kind}: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError(f"the [DEFAULT] section of a {kind} is not supported, "
+                          f"got keys {', '.join(sorted(parser.defaults()))}")
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
 def check_breakpoints(table: str, freqs) -> None:
     """Raise ConfigError naming ``table`` unless its breakpoint frequencies
     are finite, > 0, sorted and non-empty."""
@@ -159,22 +180,9 @@ def _parse_scalar(sec: dict, section: str, key: str) -> float:
 
 
 def parse_materials(text: str) -> dict[str, MaterialProperties]:
-    """Parse material definitions from INI-style text.
-
-    Values are read as written: a ``%`` is a character of the value, not
-    the start of an interpolation.
-    """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                       interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"bad material file: {exc}") from exc
-    if parser.defaults():
-        raise ConfigError(f"[DEFAULT] keys {sorted(parser.defaults())} are not supported")
+    """Parse material definitions from INI text (see ``read_ini``)."""
     materials = {}
-    for section in parser.sections():
-        sec = dict(parser[section])
+    for section, sec in read_ini(text, "material file").items():
         try:
             materials[section] = MaterialProperties(
                 name=section,

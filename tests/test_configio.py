@@ -8,6 +8,7 @@ from debrisense import configio
 from debrisense.configio import (default_config, parse_config,
                                  reference_text, DEFAULT_INTERACTIONS)
 from debrisense.errors import ConfigError
+from debrisense.materials import DEFAULT_MATERIALS_TEXT
 from debrisense.propagation import Polarization
 from debrisense.scene import DebrisClass, Mechanism
 
@@ -94,6 +95,15 @@ facet_ly_m = 0.2
         cfg = load_config(cfg_file)
         assert cfg.materials["smooth_glass"].refractive_index(1e12) == 1.5
 
+    def test_materials_file_name_read_as_written(self, tmp_path):
+        # config and material files share one reader, which reads a % as a
+        # character of the value, not the start of an interpolation
+        (tmp_path / "mats%1.ini").write_text(
+            DEFAULT_MATERIALS_TEXT.replace("1.95", "1.75"), encoding="utf-8")
+        cfg = parse_config("[materials]\nfile = mats%1.ini   # inline comment\n",
+                           config_dir=tmp_path)
+        assert cfg.materials["smooth_glass"].refractive_index(1e12) == 1.75
+
 
 class TestTables:
     def test_interaction_probability_interpolates_in_log_f(self):
@@ -151,9 +161,9 @@ class TestValidation:
         "[DEFAULT]\nn_subbands = 4\n",
         # an antenna count is a whole number, not truncated
         "[campaign]\nmimo = 4.7\n",
-        # the link settings are set from code only
+        # the link has no CSI setting: every campaign estimates by least squares
         "[linksim]\ncsi_method = perfect\n",
-        # a bare % is an interpolation error inside configparser
+        # a value is read as written, and float() cannot parse a trailing %
         "[link]\ndistance_km = 5%\n",
         # the link is checked when parsed, not at the first sample
         "[link]\ndistance_km = 0\n",

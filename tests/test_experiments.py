@@ -4,7 +4,12 @@ import copy
 import csv
 import itertools
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +18,8 @@ from debrisense.channel import subband_grid
 from debrisense.configio import (CAMPAIGN_KINDS, CAMPAIGN_SWEEPS, CampaignGrid,
                                  default_config)
 from debrisense import experiments
-from debrisense.errors import ConfigError, EqualizationError, TrainingError
+from debrisense.errors import (BlasThreadsWarning, ConfigError, EqualizationError,
+                               TrainingError)
 from debrisense.experiments import (_STREAM_SPLIT, FRAME_SYMBOLS, PILOT_FACTOR,
                                     Interaction, ScenePaths,
                                     balanced_partition, build_paths,
@@ -25,7 +31,7 @@ from debrisense.experiments import (_STREAM_SPLIT, FRAME_SYMBOLS, PILOT_FACTOR,
                                     table_config, trend_config,
                                     write_campaign_outputs,
                                     SAMPLE_CSV_HEADER, METRICS_CSV_HEADER)
-from debrisense.linksim import (CsiMethod, complex_normal, estimate_csi,
+from debrisense.linksim import (complex_normal, estimate_csi,
                                 qpsk_demodulate, qpsk_modulate, transmit,
                                 zf_equalize)
 from debrisense.propagation import (Polarization, ScatterGeometry,
@@ -438,36 +444,26 @@ class TestPathGeometryFlow:
         assert flags[-skipped:] == ["diff_skip"]
         assert flags == ["path_error:scattering"] * len(grid) + ["diff_skip"]
 
-    def test_rank_deficient_channel_flagged_at_half_ber(self):
-        # perfect CSI over an empty scene leaves a rank-1 channel: every
-        # sub-band records the equalization failure at BER 0.5
-        cfg = tiny_cfg(samples=6)
-        cfg = replace(cfg, linksim=replace(cfg.linksim, csi_method=CsiMethod.PERFECT))
-        grid = replace(cfg.campaign, classes=("none", "smooth_glass"),
-                       samples_per_condition=6)
-        cfg = replace(cfg, campaign=grid)
-        conds, _ = enumerate_conditions(cfg)
-        recs = run_condition(conds[0], cfg, master_seed=1)
-        none_rows = [r for r in recs if r.label == "none"]
-        assert none_rows
-        for rec in none_rows:
-            assert "eq_error" in rec.flags
-            assert rec.ber == 0.5
-
-    @pytest.mark.parametrize("snr_db", [0.0, 10.0])
-    def test_one_singular_subband_fails_alone(self, snr_db):
-        # sub-band 5's channel and CSI-error unit share a zero column, so its
-        # LS estimate is exactly singular at every SNR: its stack fails ZF,
-        # and only sub-band 5 books half its bits; the others count what
-        # the per-matrix link counts
+    @pytest.mark.parametrize("snr_db,bad", [
+        (0.0, (5,)),
+        (10.0, (5,)),
+        # every sub-band singular: the sample books half of all its bits
+        (10.0, tuple(range(8))),
+    ], ids=["0.0", "10.0", "every_subband"])
+    def test_one_singular_subband_fails_alone(self, snr_db, bad):
+        # the channel and CSI-error unit of each sub-band in ``bad`` share a
+        # zero column, so its LS estimate is exactly singular at every SNR:
+        # its stack fails ZF, and only those sub-bands book half their bits
+        # and one eq_error flag; the others count what the per-matrix link
+        # counts
         cfg = tiny_cfg()
         cond = replace(enumerate_conditions(cfg)[0][0], snr_db=snr_db)
-        n, bad = cond.n_antennas, 5
+        n = cond.n_antennas
         channel = complex_normal(np.random.default_rng(4), (8, n, n))
-        channel[bad][:, 2] = 0.0
+        channel[list(bad), :, 2] = 0.0
         lengths = balanced_partition(FRAME_SYMBOLS, range(8)).values()
         draw = draw_link(0, "none", (), channel, lengths, np.random.default_rng(5))
-        draw.csi_error[bad][:, 2] = 0.0
+        draw.csi_error[list(bad), :, 2] = 0.0
 
         pilot = PILOT_FACTOR * n
         errors, total = 0.0, 0
@@ -479,16 +475,19 @@ class TestPathGeometryFlow:
                 csi = estimate_csi(channel[k], pilot, snr_db, None,
                                    error_unit=draw.csi_error[k])
                 total += bits.size
-                if k == bad:
+                if k in bad:
                     with pytest.raises(EqualizationError):
                         zf_equalize(y, csi)
                     errors += bits.size * 0.5
                     continue
                 est = zf_equalize(y, csi)
                 errors += np.count_nonzero(qpsk_demodulate(est.ravel()) != bits)
-        assert errors > 0.5 * draw.frames[1].bits[0].size  # not only sub-band 5
+        if len(bad) == 8:
+            assert errors == 0.5 * total
+        else:  # not only the singular sub-band
+            assert errors > 0.5 * draw.frames[1].bits[0].size
 
-        rec = simulate_sample(cond, draw, cfg)
+        rec = simulate_sample(cond, draw)
         assert rec.ber == errors / total
         assert rec.flags.count("eq_error") == 1
 
@@ -741,3 +740,51 @@ class TestCampaignOutputs:
             keys = [(row["x"], row["series"]) for row in read_csv(tmp_path / name)]
             assert keys
             assert len(keys) == len(set(keys)), name
+
+
+# Prints the OpenBLAS thread count that numpy's bundled library reports
+# before and after one_blas_thread, in a fresh process.
+_BLAS_PROBE = """
+import ctypes
+from pathlib import Path
+import numpy as np
+from debrisense.experiments import one_blas_thread
+(lib,) = (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")
+get = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+before = get()
+one_blas_thread()
+print(before, get())
+"""
+
+
+class TestPoolBlasThreads:
+    def test_one_blas_thread_sets_the_bundled_blas_to_one_thread(self):
+        if experiments._blas_thread_setter() is None:
+            pytest.skip("numpy bundles no scipy-openblas here")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        before, after = done.stdout.split()
+        assert after == "1", f"{before} thread(s) before"
+
+    def test_pool_workers_start_with_one_blas_thread(self, monkeypatch):
+        initializers = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                initializers.append(kwargs.get("initializer"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        run_campaign(tiny_cfg(samples=6), master_seed=1, threads=2)
+        assert initializers == [experiments.one_blas_thread]
+
+    def test_missing_blas_control_warns_once_per_pooled_campaign(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_blas_thread_setter", lambda: None)
+        with pytest.warns(BlasThreadsWarning) as caught:
+            run_campaign(tiny_cfg(samples=6), master_seed=1, threads=2)
+        assert len(caught) == 1
