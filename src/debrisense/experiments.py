@@ -20,15 +20,15 @@ incidence angle) is resolved once, in ``path_transfer``, and its steering
 once per array size.  The SNR siblings of a (carrier, array size) share
 its sub-band channel matrices, payload and unit-noise draws and the
 SNR-independent link terms (the noiseless received blocks and each
-sub-band's signal power); each sibling then only scales the noise to its
-SNR, equalizes and counts bit errors, and extracts the features, on stacks
-of sub-bands rather than one matrix at a time.  A unit of work is a
-contiguous block of one family's sample indices.  The unit of work of the
-second phase is an evaluation group: its machines are trained and scored on
-the pooled records of its conditions, and it returns its accuracies and one
-annotation per pooled row (decision value, predicted label, split).  The
-records stay as simulated; the result writer resolves the annotations and
-accuracies onto conditions.
+sub-band's signal power).  Each sibling then scales the noise to its SNR,
+zero-forces and counts bit errors once, on one zero-padded stack of the
+sub-bands' frames (a zero pad column adds no bit error), and extracts the
+features.  A unit of work is a contiguous block of one family's sample
+indices.  The unit of work of the second phase is an evaluation group: its
+machines are trained and scored on the pooled records of its conditions,
+and it returns its accuracies and one annotation per pooled row (decision
+value, predicted label, split).  The records stay as simulated; the result
+writer resolves the annotations and accuracies onto conditions.
 """
 
 from __future__ import annotations
@@ -310,13 +310,15 @@ def draw_interactions(scene: DebrisScene, f_hz: float, table,
     An interaction is active at ``f_hz`` when its uniform lies below its
     probability there.  Every carrier reads the same uniforms, so
     activation sets are nested across frequencies whenever the table is
-    monotone in frequency.
+    monotone in frequency.  Each (class, mechanism) probability is read once.
     """
+    probabilities = {
+        cls: [table.probability(cls, mech, f_hz) for mech in DEBRIS_MECHANISMS]
+        for cls in dict.fromkeys(obj.debris_class for obj in scene.objects)}
     out = []
     for i, obj in enumerate(scene.objects):
         for m_idx, mech in enumerate(DEBRIS_MECHANISMS):
-            p = table.probability(obj.debris_class, mech, f_hz)
-            if draws.activation[i, m_idx] < p:
+            if draws.activation[i, m_idx] < probabilities[obj.debris_class][m_idx]:
                 out.append(Interaction(object_index=i, mechanism=mech,
                                        scatter_azimuth=float(draws.azimuths[i])))
     return out
@@ -469,21 +471,6 @@ def build_paths(scene_paths: ScenePaths, interactions, grid,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FrameStack:
-    """The frames of consecutive sub-bands that carry the same symbol count L.
-
-    ``subbands`` selects those sub-bands on the sample's sub-band axis.
-    ``signal`` is their noiseless received blocks gamma H x, (k, N, L);
-    ``noise`` the CN(0, 1) units each SNR sibling scales, of the same
-    shape; ``bits`` the payload, (k, 2 N L).
-    """
-    subbands: slice
-    signal: np.ndarray
-    noise: np.ndarray
-    bits: np.ndarray
-
-
-@dataclass(frozen=True)
 class SampleDraw:
     """The SNR-independent part of one sample, shared by its SNR siblings.
 
@@ -492,8 +479,11 @@ class SampleDraw:
     CN(0, 1) units of the LS channel-estimate error, of the same shape, and
     ``power`` the signal power of each sub-band (linksim.signal_power).
     The frame's symbols are split over the sub-bands as evenly as they go
-    (500 over 8 gives 63 on sub-bands 0-3 and 62 on 4-7), so ``frames``
-    holds one unpadded FrameStack per run of equal lengths.
+    (500 over 8 gives 63 on sub-bands 0-3 and 62 on 4-7), and sub-band k's
+    ``lengths[k]`` fill the first columns of three zero-padded stacks:
+    ``signal``, the noiseless received blocks gamma H x, (S, N, L) for
+    L = max(lengths), ``noise``, the CN(0, 1) units each SNR sibling
+    scales, of the same shape, and ``bits``, the payload, (S, N, L, 2).
     """
     sample_idx: int
     label: str
@@ -501,7 +491,10 @@ class SampleDraw:
     channel: np.ndarray
     csi_error: np.ndarray
     power: np.ndarray
-    frames: tuple[FrameStack, ...]
+    signal: np.ndarray
+    noise: np.ndarray
+    bits: np.ndarray
+    lengths: tuple[int, ...]
 
 
 def draw_sample(cond: ConditionSpec, label: str, sample_key: tuple,
@@ -510,7 +503,8 @@ def draw_sample(cond: ConditionSpec, label: str, sample_key: tuple,
     """Sub-band channels and payload of one sample at ``cond``'s carrier and
     array size, from the ``paths`` built at that carrier.  A sub-band that
     more than one path reaches gets Rician small-scale fading at the label's
-    K-factor at the carrier.
+    K-factor at the carrier, which is read once, and only if some sub-band
+    fades, so the no-debris label reads no K-factor row.
 
     ``sample_key`` is the sample's (table tag, density index, label index,
     sample index); the fading and noise streams add the array size, and
@@ -522,14 +516,15 @@ def draw_sample(cond: ConditionSpec, label: str, sample_key: tuple,
     noise_rng = _rng(master_seed, _STREAM_NOISE, tag, cond.f_idx, density_idx,
                      label_idx, sample_idx, cond.mimo_idx)
     steering = [scene_paths.steering(p.object_index, n) for p in paths]
+    terms = [[(p.gains[k], a) for p, a in zip(paths, steering)
+              if p.gains[k] is not None] for k in range(len(grid))]
+    k_factor = (cfg.channel.k_factor(label, cond.frequency_hz)
+                if any(len(terms_k) > 1 for terms_k in terms) else None)
     channel = np.empty((len(grid), n, n), dtype=complex)
-    for k, f_k in enumerate(grid):
-        terms = [(p.gains[k], a) for p, a in zip(paths, steering)
-                 if p.gains[k] is not None]
-        h = assemble_subband(terms, n, float(f_k), cfg.link.velocity_m_s)
-        if len(terms) > 1:  # so the no-debris label reads no K-factor row
-            h = apply_rician_smallscale(
-                h, cfg.channel.k_factor(label, cond.frequency_hz), fading_rng)
+    for k, (f_k, terms_k) in enumerate(zip(grid, terms)):
+        h = assemble_subband(terms_k, n, float(f_k), cfg.link.velocity_m_s)
+        if len(terms_k) > 1:
+            h = apply_rician_smallscale(h, k_factor, fading_rng)
         channel[k] = h
     lengths = balanced_partition(FRAME_SYMBOLS, range(cfg.channel.n_subbands)).values()
     return draw_link(sample_idx, label, tuple(flags), channel, lengths, noise_rng)
@@ -541,77 +536,70 @@ def draw_link(sample_idx: int, label: str, flags: tuple[str, ...],
 
     ``lengths`` gives each sub-band's frame length in symbols.  Per
     sub-band, in order, ``rng`` supplies the payload bits and then one
-    block of noise and CSI-error units.  Every array is written in place
-    into its stack; each frame stack's gamma H x is one product over its
-    sub-bands, after its draws.
+    block of noise and CSI-error units, written in place into its padded
+    stacks (see SampleDraw).  gamma H x is one product over the stack, after
+    the draws, with the pad symbols zeroed, since QPSK maps zero bits to
+    (1+j)/sqrt(2).
     """
+    lengths = tuple(lengths)
     n_antennas = channel.shape[-1]
+    shape = (len(lengths), n_antennas, max(lengths))
     csi_error = np.empty_like(channel)
-    frames = []
-    start = 0
-    for n_syms, run in itertools.groupby(lengths):
-        count = len(tuple(run))
-        frames.append(FrameStack(
-            subbands=slice(start, start + count),
-            signal=np.empty((count, n_antennas, n_syms), dtype=complex),
-            noise=np.empty((count, n_antennas, n_syms), dtype=complex),
-            bits=np.empty((count, 2 * n_antennas * n_syms), dtype=np.int8)))
-        start += count
-    for frame in frames:
-        for j, k in enumerate(range(frame.subbands.start, frame.subbands.stop)):
-            # drawn as int64, as the stream has always been consumed; stored as int8
-            frame.bits[j] = rng.integers(0, 2, size=frame.bits.shape[1])
-            fill_complex_normal(rng, (frame.noise[j], csi_error[k]))
-        noiseless_output(channel[frame.subbands],
-                         qpsk_modulate(frame.bits).reshape(frame.signal.shape),
-                         out=frame.signal)
+    noise = np.zeros(shape, dtype=complex)
+    bits = np.zeros((*shape, 2), dtype=np.int8)
+    for k, length in enumerate(lengths):
+        # drawn as int64, as the stream has always been consumed; stored as int8
+        bits[k, :, :length] = rng.integers(0, 2, size=(n_antennas, length, 2))
+        fill_complex_normal(rng, (noise[k, :, :length], csi_error[k]))
+    symbols = qpsk_modulate(bits).reshape(shape)
+    for k, length in enumerate(lengths):
+        symbols[k, :, length:] = 0
     return SampleDraw(sample_idx=sample_idx, label=label, flags=flags,
                       channel=channel, csi_error=csi_error,
                       power=np.array([signal_power(h) for h in channel]),
-                      frames=tuple(frames))
+                      signal=noiseless_output(channel, symbols), noise=noise,
+                      bits=bits, lengths=lengths)
 
 
-def _bit_errors(y: np.ndarray, csi: CsiEstimate, bits: np.ndarray,
+def _bit_errors(y: np.ndarray, csi: CsiEstimate, bits: np.ndarray, lengths,
                 flags: list) -> float:
-    """Bit errors of ZF and hard QPSK decisions on one sub-band or a stack.
+    """Bit errors of ZF and hard QPSK decisions on a padded sub-band stack,
+    or on one sub-band of ``lengths`` symbols.
 
-    A stack that fails zero-forcing is equalized again one sub-band at a
-    time; a sub-band that fails on its own books half its bits and the
-    ``eq_error`` flag.
+    A pad column of ``y`` is zero: it equalizes to zero and decides as its
+    stored zero bits, so it adds no error.  A stack that fails zero-forcing
+    is equalized again one sub-band at a time; a sub-band that fails on its
+    own books half of its unpadded bits and the ``eq_error`` flag.
     """
     try:
         est = zf_equalize(y, csi)
     except EqualizationError:
         if csi.matrix.ndim == 2:
             flags.append("eq_error")
-            return bits.size * 0.5
-        return sum(_bit_errors(y_k, CsiEstimate(h_k, csi.method), bits_k, flags)
-                   for y_k, h_k, bits_k in zip(y, csi.matrix, bits))
+            return bits[:, :lengths].size * 0.5
+        return sum(_bit_errors(y_k, CsiEstimate(h_k, csi.method), bits_k, n_k, flags)
+                   for y_k, h_k, bits_k, n_k in zip(y, csi.matrix, bits, lengths))
     return float(np.count_nonzero(qpsk_demodulate(est) != bits.ravel()))
 
 
 def simulate_sample(cond: ConditionSpec, draw: SampleDraw) -> SampleRecord:
-    """Link and features of one drawn sample at the condition's SNR, run on
-    the draw's sub-band stacks, from the least-squares channel estimate."""
+    """Link and features of one drawn sample at the condition's SNR, from
+    the least-squares channel estimate.  The noise is added, and the
+    sub-bands zero-forced and their bit errors counted, once on the draw's
+    padded stack; the pad adds no bit error (``_bit_errors``)."""
     noise_var = noise_variance(draw.power, cond.snr_db)
     csi = add_noise(draw.channel,
                     csi_error_variance(noise_var, cond.n_antennas,
                                        PILOT_FACTOR * cond.n_antennas),
                     draw.csi_error)
     flags = list(draw.flags)
-    err_bits = 0.0
-    total_bits = 0
-    for frame in draw.frames:
-        y = add_noise(frame.signal, noise_var[frame.subbands], frame.noise)
-        err_bits += _bit_errors(y, CsiEstimate(csi[frame.subbands],
-                                               CsiMethod.LEAST_SQUARES),
-                                frame.bits, flags)
-        total_bits += frame.bits.size
-
-    features = extract_features(csi)
+    err_bits = _bit_errors(add_noise(draw.signal, noise_var, draw.noise),
+                           CsiEstimate(csi, CsiMethod.LEAST_SQUARES),
+                           draw.bits, draw.lengths, flags)
     return SampleRecord(condition_id=cond.condition_id,
                         sample_idx=draw.sample_idx, label=draw.label,
-                        ber=err_bits / total_bits, features=features,
+                        ber=err_bits / (2 * cond.n_antennas * sum(draw.lengths)),
+                        features=extract_features(csi),
                         flags=tuple(sorted(set(flags))))
 
 

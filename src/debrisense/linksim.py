@@ -148,22 +148,21 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def fill_complex_normal(rng: np.random.Generator, blocks) -> None:
-    """Fill C-contiguous complex arrays with CN(0, 1) from one generator call.
+    """Fill complex arrays with CN(0, 1) from one generator call.
 
-    Each block takes its real and then its imaginary parts from
-    consecutive normals and is scaled by 1/sqrt(2), so the blocks and the
-    generator's state after them equal those of one two-call draw
-    ``(re + 1j*im) / sqrt(2)`` per block, in order.  A block may be a view
-    into a larger array, such as one sub-band of a stack.
+    Each block takes its real and then its imaginary parts, in C order,
+    from consecutive normals and is scaled by 1/sqrt(2), so the blocks and
+    the generator's state after them equal those of one two-call draw
+    ``(re + 1j*im) / sqrt(2)`` per block, in order.  A block may be any
+    view into a larger array, such as the unpadded columns of one sub-band
+    of a stack.
     """
-    if not all(block.flags.c_contiguous for block in blocks):
-        raise ValueError("blocks must be C-contiguous")
     normals = rng.standard_normal(2 * sum(block.size for block in blocks))
     start = 0
     for block in blocks:
-        flat = block.reshape(-1)  # a view: the block is C-contiguous
-        flat.real = normals[start:start + block.size]
-        flat.imag = normals[start + block.size:start + 2 * block.size]
+        block.real = normals[start:start + block.size].reshape(block.shape)
+        block.imag = normals[start + block.size:
+                             start + 2 * block.size].reshape(block.shape)
         block *= _INV_SQRT2
         start += 2 * block.size
 

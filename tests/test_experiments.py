@@ -16,6 +16,7 @@ import pytest
 
 from debrisense.channel import subband_grid
 from debrisense.configio import (CAMPAIGN_KINDS, CAMPAIGN_SWEEPS, CampaignGrid,
+                                 ChannelConfig, InteractionTable,
                                  default_config)
 from debrisense import experiments
 from debrisense.errors import (BlasThreadsWarning, ConfigError, EqualizationError,
@@ -375,6 +376,62 @@ class TestPathGeometryFlow:
         assert set(calls) == {(seed, *key) for seed, keys in activated.items()
                               for key in keys}
 
+    def test_carrier_lookups_read_once(self, monkeypatch):
+        # a draw reads the K-factor once when some sub-band fades and not at
+        # all when none does, and a carrier reads each (class, mechanism)
+        # activation probability once, however many objects share it
+        log = []
+        k_factor = ChannelConfig.k_factor
+        probability = InteractionTable.probability
+        rician = experiments.apply_rician_smallscale
+        draw_sample = experiments.draw_sample
+        interactions = experiments.draw_interactions
+
+        def counted_k_factor(self, debris_class, f_hz):
+            log.append("k_factor")
+            return k_factor(self, debris_class, f_hz)
+
+        def counted_probability(self, debris_class, mechanism, f_hz):
+            log.append((debris_class, mechanism))
+            return probability(self, debris_class, mechanism, f_hz)
+
+        def counted_rician(h, k, rng):
+            log.append("fade")
+            return rician(h, k, rng)
+
+        draws, carriers = [], []
+
+        def logged_draw_sample(*args):
+            start = len(log)
+            out = draw_sample(*args)
+            draws.append(log[start:])
+            return out
+
+        def logged_interactions(scene, f_hz, table, uniforms):
+            start = len(log)
+            out = interactions(scene, f_hz, table, uniforms)
+            carriers.append((scene, log[start:]))
+            return out
+
+        monkeypatch.setattr(ChannelConfig, "k_factor", counted_k_factor)
+        monkeypatch.setattr(InteractionTable, "probability", counted_probability)
+        monkeypatch.setattr(experiments, "apply_rician_smallscale", counted_rician)
+        monkeypatch.setattr(experiments, "draw_sample", logged_draw_sample)
+        monkeypatch.setattr(experiments, "draw_interactions", logged_interactions)
+        cfg = tiny_cfg(samples=6)
+        cfg = replace(cfg, campaign=replace(cfg.campaign, densities_per_km3=(1e-5,)))
+        for family in scene_families(enumerate_conditions(cfg)[0]):
+            run_condition(family, cfg, master_seed=3)
+
+        assert any(d.count("fade") > 1 for d in draws)
+        assert any("fade" not in d for d in draws)
+        for d in draws:
+            assert d.count("k_factor") == ("fade" in d)
+        assert any(len(scene.objects) > 1 for scene, _ in carriers)
+        for scene, reads in carriers:
+            classes = {obj.debris_class for obj in scene.objects}
+            assert len(reads) == len(set(reads)) == 3 * len(classes)
+
     def test_gain_outside_material_tables_fails_only_those_subbands(self):
         # glass tables that end between sub-bands 3 and 4 of a 3 THz grid:
         # the upper four sub-bands raise MaterialError for both material
@@ -453,9 +510,9 @@ class TestPathGeometryFlow:
     def test_one_singular_subband_fails_alone(self, snr_db, bad):
         # the channel and CSI-error unit of each sub-band in ``bad`` share a
         # zero column, so its LS estimate is exactly singular at every SNR:
-        # its stack fails ZF, and only those sub-bands book half their bits
-        # and one eq_error flag; the others count what the per-matrix link
-        # counts
+        # the padded stack fails ZF, and only those sub-bands book half
+        # their unpadded bits and one eq_error flag; the others count what
+        # the per-matrix link counts
         cfg = tiny_cfg()
         cond = replace(enumerate_conditions(cfg)[0][0], snr_db=snr_db)
         n = cond.n_antennas
@@ -465,31 +522,64 @@ class TestPathGeometryFlow:
         draw = draw_link(0, "none", (), channel, lengths, np.random.default_rng(5))
         draw.csi_error[list(bad), :, 2] = 0.0
 
-        pilot = PILOT_FACTOR * n
-        errors, total = 0.0, 0
-        for frame in draw.frames:
-            for k, noise, bits in zip(range(frame.subbands.start, frame.subbands.stop),
-                                      frame.noise, frame.bits):
-                tx = qpsk_modulate(bits).reshape(noise.shape)
-                y = transmit(channel[k], tx, snr_db, None, noise_unit=noise)
-                csi = estimate_csi(channel[k], pilot, snr_db, None,
-                                   error_unit=draw.csi_error[k])
-                total += bits.size
-                if k in bad:
-                    with pytest.raises(EqualizationError):
-                        zf_equalize(y, csi)
-                    errors += bits.size * 0.5
-                    continue
-                est = zf_equalize(y, csi)
-                errors += np.count_nonzero(qpsk_demodulate(est.ravel()) != bits)
+        errors, total, failed = per_matrix_link(draw, snr_db)
+        assert failed == list(bad)
         if len(bad) == 8:
             assert errors == 0.5 * total
         else:  # not only the singular sub-band
-            assert errors > 0.5 * draw.frames[1].bits[0].size
+            assert errors > 0.5 * 2 * n * draw.lengths[5]
 
         rec = simulate_sample(cond, draw)
         assert rec.ber == errors / total
         assert rec.flags.count("eq_error") == 1
+
+    @pytest.mark.parametrize("n_subbands", [3, 5, 8])
+    def test_padded_stack_counts_the_unpadded_frames(self, n_subbands):
+        # 500 symbols over 3, 5 and 8 sub-bands: one short sub-band, none,
+        # and four.  The pad holds zeros, and the stack's BER is the
+        # per-matrix link's over the unpadded frames
+        cond = enumerate_conditions(tiny_cfg())[0][0]
+        n = cond.n_antennas
+        channel = complex_normal(np.random.default_rng(6), (n_subbands, n, n))
+        lengths = balanced_partition(FRAME_SYMBOLS, range(n_subbands)).values()
+        draw = draw_link(0, "none", (), channel, lengths, np.random.default_rng(7))
+        width = max(draw.lengths)
+        assert draw.signal.shape == draw.noise.shape == (n_subbands, n, width)
+        assert draw.bits.shape == (n_subbands, n, width, 2)
+        for k, length in enumerate(draw.lengths):
+            for stack in (draw.signal, draw.noise, draw.bits):
+                assert not stack[k, :, length:].any()
+            assert draw.noise[k, :, :length].all()
+
+        errors, total, failed = per_matrix_link(draw, cond.snr_db)
+        assert not failed and errors > 0
+        rec = simulate_sample(cond, draw)
+        assert rec.ber == errors / total
+        assert "eq_error" not in rec.flags
+
+
+def per_matrix_link(draw, snr_db):
+    """Bit errors, bit count and zero-forcing failures of a draw's unpadded
+    frames, one sub-band matrix at a time through transmit, estimate_csi and
+    zf_equalize; a sub-band that fails zero-forcing books half its bits."""
+    n = draw.channel.shape[-1]
+    errors, total, failed = 0.0, 0, []
+    for k, length in enumerate(draw.lengths):
+        noise = draw.noise[k, :, :length]
+        bits = draw.bits[k, :, :length].ravel()
+        y = transmit(draw.channel[k], qpsk_modulate(bits).reshape(noise.shape),
+                     snr_db, None, noise_unit=noise)
+        csi = estimate_csi(draw.channel[k], PILOT_FACTOR * n, snr_db, None,
+                           error_unit=draw.csi_error[k])
+        total += bits.size
+        try:
+            est = zf_equalize(y, csi)
+        except EqualizationError:
+            failed.append(k)
+            errors += bits.size * 0.5
+            continue
+        errors += np.count_nonzero(qpsk_demodulate(est) != bits)
+    return errors, total, failed
 
 
 class TestEvaluate:
