@@ -5,7 +5,10 @@ Config files are INI text with sections [link], [scene], [materials],
 ``materials.read_ini`` as material files are.  Every value has a shipped
 default; a user file only overrides what it names.  ``_KEYS`` declares each
 INI key once; parsing, the unknown-key check and ``reference_text`` (the
-fully commented default file) all read it.
+fully commented default file) all read it.  ``validate_config`` holds the
+checks that read more than one section; ``parse_config`` and
+``experiments.run_campaign`` both call it, so a config built in code is
+checked as a file is, before its campaign draws a sample.
 """
 
 from __future__ import annotations
@@ -352,7 +355,7 @@ def parse_config(text: str, config_dir=None) -> SimulationConfig:
                 raise ConfigError(f"bad value for {key!r} in [{name}]: {exc}") from exc
         if changes:
             cfg = replace(cfg, **{name: replace(getattr(cfg, name), **changes)})
-    _validate(cfg)
+    validate_config(cfg)
     return cfg
 
 
@@ -361,9 +364,13 @@ def load_config(path) -> SimulationConfig:
     return parse_config(p.read_text(encoding="utf-8"), config_dir=p.parent)
 
 
-def _validate(cfg: SimulationConfig) -> None:
-    """The checks that read more than one section; every section's dataclass
-    checks its own fields on construction."""
+def validate_config(cfg: SimulationConfig) -> None:
+    """The checks that read more than one section, raising ConfigError;
+    every section's dataclass checks its own fields on construction.
+
+    Every debris material must cover every sub-band centre, so a path's
+    transfer can then fail only for its geometry, at all of its sub-bands.
+    """
     # a sample's features are moments over its sub-band CSI entries
     entries = cfg.channel.n_subbands * min(cfg.campaign.mimo_sizes) ** 2
     if entries < 2:

@@ -47,7 +47,7 @@ import numpy as np
 from .channel import (apply_rician_smallscale, assemble_subband,
                       steering_matrix, subband_grid)
 from .configio import (CAMPAIGN_KINDS, NO_DEBRIS_LABEL, CampaignGrid,
-                       SimulationConfig, default_config)
+                       SimulationConfig, default_config, validate_config)
 from .errors import (BlasThreadsWarning, ConfigError, DebrisenseError,
                      EqualizationError, TrainingError)
 # transmit and estimate_csi are the per-matrix form of the link that
@@ -417,8 +417,7 @@ class SamplePath:
 
     ``object_index`` names the debris object it goes through (None for the
     line of sight), whose steering ``ScenePaths.steering`` holds.
-    ``gains`` holds the path's transfer function at each sub-band, or None
-    where evaluating it raised.
+    ``gains`` holds the path's transfer function at each sub-band.
     """
     object_index: int | None
     gains: tuple
@@ -430,39 +429,29 @@ def build_paths(scene_paths: ScenePaths, interactions, grid,
     interaction into paths.
 
     Each debris path's transfer function comes from ``scene_paths``,
-    resolved once for every carrier; gains are evaluated at each sub-band
-    centre of ``grid``.  A geometry failure (no knife-edge projection)
-    skips the path, and a gain that raises (grazing scattering) skips it
-    at that sub-band only; both append a flag instead of aborting the
-    sample.  It appends the kept paths' sub-band flags first, in
-    interaction order, and then one flag per skipped interaction, so the
-    last ``len(interactions) - (len(paths) - 1)`` flags are the skip
-    reasons.
+    resolved once for every carrier, and is evaluated at each sub-band
+    centre of ``grid``.  A path gets a gain at every sub-band or is
+    skipped with one flag: ``diff_skip`` for a knife edge with no
+    projection, ``path_error:<mechanism>`` where its transfer raises.  On
+    a config that ``validate_config`` accepts, every material covers every
+    sub-band centre, so only a geometry outcome that holds at every
+    frequency raises, such as grazing scattering.  It appends only the skip
+    reasons to ``flags``, one per skipped interaction, in interaction order.
     """
     freqs = [float(f) for f in grid]
     paths = [SamplePath(object_index=None, gains=tuple(
         los_response(f, cfg.link.distance_m) for f in freqs))]
-    skips = []
     for inter in interactions:
-        error_flag = f"path_error:{inter.mechanism.value}"
         try:
             transfer = scene_paths.transfer(inter)
+            if transfer is None:
+                flags.append("diff_skip")
+                continue
+            gains = tuple(transfer(f) for f in freqs)
         except DebrisenseError:
-            skips.append(error_flag)
+            flags.append(f"path_error:{inter.mechanism.value}")
             continue
-        if transfer is None:
-            skips.append("diff_skip")
-            continue
-        gains = []
-        for f in freqs:
-            try:
-                gains.append(transfer(f))
-            except DebrisenseError:
-                gains.append(None)
-                flags.append(error_flag)
-        paths.append(SamplePath(object_index=inter.object_index,
-                                gains=tuple(gains)))
-    flags.extend(skips)
+        paths.append(SamplePath(object_index=inter.object_index, gains=gains))
     return paths
 
 
@@ -501,10 +490,10 @@ def draw_sample(cond: ConditionSpec, label: str, sample_key: tuple,
                 scene_paths: ScenePaths, paths, flags, grid,
                 cfg: SimulationConfig, master_seed: int) -> SampleDraw:
     """Sub-band channels and payload of one sample at ``cond``'s carrier and
-    array size, from the ``paths`` built at that carrier.  A sub-band that
-    more than one path reaches gets Rician small-scale fading at the label's
-    K-factor at the carrier, which is read once, and only if some sub-band
-    fades, so the no-debris label reads no K-factor row.
+    array size, from the ``paths`` built at that carrier, each of which
+    reaches every sub-band.  When there is more than the line of sight,
+    every sub-band gets Rician small-scale fading at the label's K-factor at
+    the carrier, read once, so the no-debris label reads no K-factor row.
 
     ``sample_key`` is the sample's (table tag, density index, label index,
     sample index); the fading and noise streams add the array size, and
@@ -516,14 +505,13 @@ def draw_sample(cond: ConditionSpec, label: str, sample_key: tuple,
     noise_rng = _rng(master_seed, _STREAM_NOISE, tag, cond.f_idx, density_idx,
                      label_idx, sample_idx, cond.mimo_idx)
     steering = [scene_paths.steering(p.object_index, n) for p in paths]
-    terms = [[(p.gains[k], a) for p, a in zip(paths, steering)
-              if p.gains[k] is not None] for k in range(len(grid))]
-    k_factor = (cfg.channel.k_factor(label, cond.frequency_hz)
-                if any(len(terms_k) > 1 for terms_k in terms) else None)
+    fading = len(paths) > 1
+    k_factor = cfg.channel.k_factor(label, cond.frequency_hz) if fading else None
     channel = np.empty((len(grid), n, n), dtype=complex)
-    for k, (f_k, terms_k) in enumerate(zip(grid, terms)):
-        h = assemble_subband(terms_k, n, float(f_k), cfg.link.velocity_m_s)
-        if len(terms_k) > 1:
+    for k, f_k in enumerate(grid):
+        h = assemble_subband([(p.gains[k], a) for p, a in zip(paths, steering)],
+                             n, float(f_k), cfg.link.velocity_m_s)
+        if fading:
             h = apply_rician_smallscale(h, k_factor, fading_rng)
         channel[k] = h
     lengths = balanced_partition(FRAME_SYMBOLS, range(cfg.channel.n_subbands)).values()
@@ -858,10 +846,12 @@ def run_campaign(cfg: SimulationConfig, master_seed: int,
                  threads: int = 1) -> CampaignResult:
     """Run every condition of the campaign grid and evaluate its groups.
 
-    Every evaluation group is first checked to be splittable
-    (``check_splits``).  The campaign then runs in two phases through one
-    mapper: a process pool's ``map`` when ``threads > 1``, the builtin
-    ``map`` otherwise.  Each pool worker runs its BLAS on one thread
+    The config is first checked (``validate_config``, as ``parse_config``
+    checks a file), and every evaluation group to be splittable
+    (``check_splits``), so a bad campaign fails before its first sample.
+    The campaign then runs in two phases through one mapper: a process
+    pool's ``map`` when ``threads > 1``, the builtin ``map`` otherwise.
+    Each pool worker runs its BLAS on one thread
     (``one_blas_thread``); if no control for that is found, a
     BlasThreadsWarning says so.  First the scene families are simulated,
     one block of a family's samples per unit of work: the whole family when
@@ -880,6 +870,7 @@ def run_campaign(cfg: SimulationConfig, master_seed: int,
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
+    validate_config(cfg)
     conditions, groups = enumerate_conditions(cfg)
     check_splits(conditions, groups, cfg.svm.train_fraction)
     blocks = 1 if threads == 1 else _BLOCKS_PER_WORKER * threads

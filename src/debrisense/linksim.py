@@ -107,14 +107,13 @@ def add_noise(signal: np.ndarray, variance, unit: np.ndarray) -> np.ndarray:
     return out
 
 
-def noiseless_output(h: np.ndarray, frame: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
+def noiseless_output(h: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """The noiseless received block gamma * (H @ x), gamma = 1/sqrt(Nt).
 
     ``h`` and ``frame`` may carry matching leading stack axes.  The product
-    is scaled in place, in ``out`` if given.
+    is scaled in place.
     """
-    out = np.matmul(h, frame, out=out)
+    out = np.matmul(h, frame)
     out *= 1.0 / math.sqrt(h.shape[-1])
     return out
 

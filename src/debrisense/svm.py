@@ -134,18 +134,13 @@ def _smo_solve(k: np.ndarray, y: np.ndarray, c: float, tol: float,
     errors = -y.astype(float)
     kdiag = np.diag(k)
 
-    def violations():
-        yf = y * (errors + y)  # y_i * f_i
-        v = np.zeros(n)
-        can_up = alpha < c - 1e-12 * c
-        can_dn = alpha > 1e-12 * c
-        v[can_up] = np.maximum(v[can_up], (1.0 - yf[can_up]))
-        v[can_dn] = np.maximum(v[can_dn], (yf[can_dn] - 1.0))
-        return v
-
     steps = 0
     while True:
-        v = violations()
+        # KKT violation: 1 - y f where alpha can still grow, y f - 1 where
+        # it can still shrink, the larger where both, and at least 0
+        yf = y * (errors + y)  # y_i * f_i
+        v = np.where(alpha < c - 1e-12 * c, np.maximum(0.0, 1.0 - yf), 0.0)
+        v = np.where(alpha > 1e-12 * c, np.maximum(v, yf - 1.0), v)
         i = int(np.argmax(v))
         if v[i] <= tol:
             return alpha, b, steps, True

@@ -432,17 +432,31 @@ class TestPathGeometryFlow:
             classes = {obj.debris_class for obj in scene.objects}
             assert len(reads) == len(set(reads)) == 3 * len(classes)
 
-    def test_gain_outside_material_tables_fails_only_those_subbands(self):
-        # glass tables that end between sub-bands 3 and 4 of a 3 THz grid:
-        # the upper four sub-bands raise MaterialError for both material
-        # mechanisms, and the paths keep their gains below that edge
-        cfg = default_config()
-        grid = subband_grid(3e12, 8, cfg.channel.bandwidth_hz)
-        edge = 0.5 * (grid[3] + grid[4])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_material_tables_short_of_a_subband_fail_before_any_sample(
+            self, threads, monkeypatch):
+        # the trend campaign with glass tables that end at 4 THz, below every
+        # sub-band centre of its 5 THz carrier: run_campaign raises
+        # parse_config's ConfigError before it builds the grid, serial or
+        # pooled
+        cfg = trend_config(samples=6)
         glass = cfg.materials["smooth_glass"]
-        short = replace(glass, n_table=((20e9, 1.95), (edge, 1.95)),
-                        alpha_table=((20e9, 200.0), (edge, 200.0)))
+        short = replace(glass, n_table=((20e9, 1.95), (4e12, 1.95)),
+                        alpha_table=((20e9, 200.0), (4e12, 200.0)))
         cfg = replace(cfg, materials={**cfg.materials, "smooth_glass": short})
+
+        def no_grid(*args):
+            raise AssertionError("the campaign grid was built")
+
+        monkeypatch.setattr(experiments, "enumerate_conditions", no_grid)
+        with pytest.raises(ConfigError, match=r"^sub-band centre 4\.996e\+12 Hz: "
+                           r"material 'smooth_glass': refractive index not "
+                           r"tabulated"):
+            run_campaign(cfg, master_seed=1, threads=threads)
+
+        # build_paths on the unvalidated config skips each glass path whole,
+        # with one flag, where its gains raise at the carrier's sub-bands
+        grid = subband_grid(5e12, 8, cfg.channel.bandwidth_hz)
         scene = generate_scene(SceneConfig(
             geometry=LinkGeometry(distance_km=500.0, velocity_km_s=7.0),
             density_per_km3=2e-5, debris_class=DebrisClass.SMOOTH_GLASS,
@@ -452,18 +466,14 @@ class TestPathGeometryFlow:
                         for mech in (Mechanism.REFLECTION, Mechanism.SCATTERING)]
         flags = []
         paths = build_paths(ScenePaths(scene, cfg), interactions, grid, cfg, flags)
-        assert [p.object_index for p in paths] == [None, 0, 0]
-        for path in paths[1:]:
-            assert all(g is not None for g in path.gains[:4])
-            assert all(g is None for g in path.gains[4:])
-        assert flags == (["path_error:reflection"] * 4
-                         + ["path_error:scattering"] * 4)
+        assert [p.object_index for p in paths] == [None]
+        assert flags == ["path_error:reflection", "path_error:scattering"]
 
     def test_on_axis_debris_reflects_below_grazing(self):
         # debris on the link axis closes a flat relay triangle: reflection
         # runs at the incidence angle clamped below grazing, scattering
-        # fails its grazing check at every sub-band and diffraction has no
-        # clearance to diffract over
+        # fails its grazing check at every sub-band, so it is skipped, and
+        # diffraction has no clearance to diffract over
         cfg = default_config()
         grid = subband_grid(3e12, 8, cfg.channel.bandwidth_hz)
         scene = DebrisScene(
@@ -475,31 +485,11 @@ class TestPathGeometryFlow:
                         for mech in DEBRIS_MECHANISMS]
         flags = []
         paths = build_paths(ScenePaths(scene, cfg), interactions, grid, cfg, flags)
-        los, reflection, scattering = paths
+        assert [p.object_index for p in paths] == [None, 0]
+        los, reflection = paths
         assert all(np.isfinite(g) and 0.0 < abs(g) < abs(g_los)
                    for g, g_los in zip(reflection.gains, los.gains))
-        assert scattering.gains == (None,) * len(grid)
-        assert flags == ["path_error:scattering"] * len(grid) + ["diff_skip"]
-
-    def test_skip_flags_follow_kept_path_flags(self):
-        # a skipped knife edge before a kept scattering path that fails at
-        # every sub-band: the skip reason is still the last flag, one per
-        # skipped interaction, after the kept path's sub-band flags
-        cfg = default_config()
-        grid = subband_grid(3e12, 8, cfg.channel.bandwidth_hz)
-        scene = DebrisScene(
-            geometry=cfg.link, semi_axes_km=(250.0, 50.0, 50.0),
-            density_per_km3=0.0, seed=0, objects=(
-                DebrisObject((250.0, 0.0, 0.0), DebrisClass.SMOOTH_GLASS),))
-        interactions = [Interaction(object_index=0, mechanism=mech,
-                                    scatter_azimuth=0.5)
-                        for mech in (Mechanism.DIFFRACTION, Mechanism.SCATTERING)]
-        flags = []
-        paths = build_paths(ScenePaths(scene, cfg), interactions, grid, cfg, flags)
-        skipped = len(interactions) - (len(paths) - 1)
-        assert skipped == 1
-        assert flags[-skipped:] == ["diff_skip"]
-        assert flags == ["path_error:scattering"] * len(grid) + ["diff_skip"]
+        assert flags == ["path_error:scattering", "diff_skip"]
 
     @pytest.mark.parametrize("snr_db,bad", [
         (0.0, (5,)),
