@@ -13,6 +13,8 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import csv
+import math
 import sys
 
 import numpy as np
@@ -20,28 +22,35 @@ import numpy as np
 from .configio import SvmSettings, load_config, reference_text
 from .errors import ConfigError, DebrisenseError
 from .experiments import (DEBRIS_LABEL, DETECTION_CLASSES, FEATURE_COLUMNS,
-                          detection_labels, reproduce_table, run_campaign,
-                          write_campaign_outputs)
+                          TABLE_GRIDS, detection_labels, reproduce_table,
+                          run_campaign, write_campaign_outputs)
 from .sensing import LabeledDataset, load_model, save_model, svm_train
 from .svm import KERNEL_KINDS
 
 
 def _read_samples_csv(path):
+    """The feature matrix and labels of a samples CSV.  A row that does not
+    have the header's fields, a value that is not a number, or a feature
+    that is not finite raises ConfigError naming the file and line."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        idx = {name: i for i, name in enumerate(header)}
-        needed = ("label", *FEATURE_COLUMNS)
-        missing = [n for n in needed if n not in idx]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [n for n in ("label", *FEATURE_COLUMNS) if n not in header]
         if missing:
             raise ConfigError(f"samples CSV missing columns {missing}")
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            rows.append((parts[idx["label"]],
-                         [float(parts[idx[k]]) for k in FEATURE_COLUMNS]))
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            if None in row or None in row.values():
+                raise ConfigError(f"{where}: a row needs the header's "
+                                  f"{len(header)} fields")
+            try:
+                features = [float(row[k]) for k in FEATURE_COLUMNS]
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            if not all(math.isfinite(v) for v in features):
+                raise ConfigError(f"{where}: features must be finite, got {features}")
+            rows.append((row["label"], features))
     if not rows:
         raise ConfigError(f"no sample rows in {path}")
     labels = tuple(r[0] for r in rows)
@@ -111,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reproduce", help="run a headline campaign table")
-    p.add_argument("--table", type=int, required=True, choices=(1, 2, 3))
+    p.add_argument("--table", type=int, required=True, choices=tuple(TABLE_GRIDS))
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=int, default=1)

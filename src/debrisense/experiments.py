@@ -191,18 +191,14 @@ def enumerate_conditions(cfg: SimulationConfig):
                     frequency_hz=grid.frequencies_hz[f_idx],
                     axis_value=density))
     else:
-        if grid.kind == "frequency_snr" or grid.kind == "trend":
-            axes = [(f_idx, s_idx, 0, 0)
-                    for f_idx in range(len(grid.frequencies_hz))
-                    for s_idx in range(len(grid.snr_values_db))]
-            if grid.kind == "trend":
-                # density comparison leg at the lowest frequency, highest SNR
-                axes += [(0, len(grid.snr_values_db) - 1, 0, d_idx)
-                         for d_idx in range(1, len(grid.densities_per_km3))]
-        else:  # mimo_frequency
-            axes = [(f_idx, 0, m_idx, 0)
-                    for f_idx in range(len(grid.frequencies_hz))
-                    for m_idx in range(len(grid.mimo_sizes))]
+        # one condition per grid point; the unswept lists hold one value each
+        axes = [(f_idx, s_idx, m_idx, 0) for f_idx, s_idx, m_idx in itertools.product(
+            range(len(grid.frequencies_hz)), range(len(grid.snr_values_db)),
+            range(len(grid.mimo_sizes)))]
+        if grid.kind == "trend":
+            # density comparison leg at the lowest frequency, highest SNR
+            axes += [(0, len(grid.snr_values_db) - 1, 0, d_idx)
+                     for d_idx in range(1, len(grid.densities_per_km3))]
         for f_idx, s_idx, mimo_idx, d_idx in axes:
             density = grid.densities_per_km3[d_idx]
             cid = add(f_idx, s_idx, mimo_idx, d_idx, grid.classes, density)
@@ -219,51 +215,38 @@ def enumerate_conditions(cfg: SimulationConfig):
     return conditions, groups
 
 
+# The grids of the three headline experiment tables, at 200 samples per
+# condition; table 2's is the reference [campaign] default.
+TABLE_GRIDS = {
+    1: CampaignGrid(kind="density_frequency",
+                    frequencies_hz=(30e9, 300e9, 3e12, 5e12),
+                    snr_values_db=(15.0,),
+                    densities_per_km3=(1e-7, 5e-7, 1e-6)),
+    2: CampaignGrid(),
+    3: CampaignGrid(kind="mimo_frequency",
+                    frequencies_hz=(30e9, 300e9, 3e12, 5e12),
+                    snr_values_db=(20.0,),
+                    mimo_sizes=(4, 16, 64)),
+}
+
+
 def table_config(which: int, samples: int | None = None) -> SimulationConfig:
-    """Campaign configuration for the three headline experiment tables."""
-    cfg = default_config()
-    if samples is None:
-        samples = 200
-    if which == 1:
-        grid = CampaignGrid(
-            kind="density_frequency",
-            frequencies_hz=(30e9, 300e9, 3e12, 5e12),
-            snr_values_db=(15.0,),
-            mimo_sizes=(16,),
-            densities_per_km3=(1e-7, 5e-7, 1e-6),
-            samples_per_condition=samples)
-    elif which == 2:
-        grid = CampaignGrid(
-            kind="frequency_snr",
-            frequencies_hz=(30e9, 3e12, 5e12),
-            snr_values_db=(5.0, 10.0, 15.0, 20.0),
-            mimo_sizes=(16,),
-            densities_per_km3=(1e-6,),
-            samples_per_condition=samples)
-    elif which == 3:
-        grid = CampaignGrid(
-            kind="mimo_frequency",
-            frequencies_hz=(30e9, 300e9, 3e12, 5e12),
-            snr_values_db=(20.0,),
-            mimo_sizes=(4, 16, 64),
-            densities_per_km3=(1e-6,),
-            samples_per_condition=samples)
-    else:
-        raise ConfigError(f"table must be 1, 2 or 3, got {which}")
-    return replace(cfg, campaign=grid)
+    """The default configuration with the grid of headline table ``which``
+    (a key of ``TABLE_GRIDS``), at ``samples`` per condition if given."""
+    if which not in TABLE_GRIDS:
+        raise ConfigError(f"table must be one of {tuple(TABLE_GRIDS)}, got {which}")
+    grid = TABLE_GRIDS[which]
+    if samples is not None:
+        grid = replace(grid, samples_per_condition=samples)
+    return replace(default_config(), campaign=grid)
 
 
 def trend_config(samples: int = 100) -> SimulationConfig:
-    """Reduced-scale campaign covering the headline frequency/SNR/density trends."""
-    cfg = default_config()
-    grid = CampaignGrid(
-        kind="trend",
-        frequencies_hz=(30e9, 3e12, 5e12),
-        snr_values_db=(5.0, 10.0, 15.0, 20.0),
-        mimo_sizes=(16,),
-        densities_per_km3=(1e-6, 1e-7),
-        samples_per_condition=samples)
-    return replace(cfg, campaign=grid)
+    """Reduced-scale campaign covering the headline frequency/SNR/density
+    trends: table 2's grid, plus a density leg at 1e-7 per km^3."""
+    return replace(default_config(), campaign=replace(
+        TABLE_GRIDS[2], kind="trend", densities_per_km3=(1e-6, 1e-7),
+        samples_per_condition=samples))
 
 
 # ---------------------------------------------------------------------------
@@ -900,10 +883,11 @@ def run_campaign(cfg: SimulationConfig, master_seed: int,
                           summaries=summaries)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write ``header`` and one line per row, its values joined by commas in
+    their ``str`` form (a float's shortest round-trip text)."""
+    path.write_text("\n".join([header, *(",".join(map(str, row)) for row in rows)])
+                    + "\n", encoding="utf-8")
 
 
 def write_campaign_outputs(result: CampaignResult, cfg: SimulationConfig,
@@ -912,7 +896,10 @@ def write_campaign_outputs(result: CampaignResult, cfg: SimulationConfig,
 
     A sample row carries the annotations of the last group that pools its
     condition; a condition's accuracies are the means over the groups that
-    pool it, skipping a NaN cls_acc.
+    pool it, skipping a NaN cls_acc.  A BER plot point is the mean BER of
+    one label of one condition, on the axes that ``cfg``'s campaign kind
+    sweeps; an accuracy plot point is one group's accuracy at its
+    frequency and axis value.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -925,43 +912,29 @@ def write_campaign_outputs(result: CampaignResult, cfg: SimulationConfig,
             annotations[cid] = [next(rows) for _ in result.records[cid]]
             pooled_by.setdefault(cid, []).append(summary)
 
+    kind = cfg.campaign.kind
+    metrics_rows = []
+    ber_rows = []
     for cond in result.conditions:
-        lines = [SAMPLE_CSV_HEADER]
-        for rec, note in zip(result.records[cond.condition_id],
-                             annotations[cond.condition_id]):
-            fv = rec.features
-            lines.append(",".join([
-                rec.condition_id, str(rec.sample_idx), rec.label, _fmt(rec.ber),
-                _fmt(fv.mean), _fmt(fv.variance), _fmt(fv.maximum),
-                _fmt(fv.minimum), _fmt(fv.skewness), _fmt(note.det_value),
-                note.pred_label, "|".join(sorted({*rec.flags, note.split}))]))
-        (out / f"samples_{cond.condition_id}.csv").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8")
+        recs = result.records[cond.condition_id]
+        _write_csv(out / f"samples_{cond.condition_id}.csv", SAMPLE_CSV_HEADER, [
+            (rec.condition_id, rec.sample_idx, rec.label, rec.ber,
+             rec.features.mean, rec.features.variance, rec.features.maximum,
+             rec.features.minimum, rec.features.skewness, note.det_value,
+             note.pred_label, "|".join(sorted({*rec.flags, note.split})))
+            for rec, note in zip(recs, annotations[cond.condition_id])])
 
-    lines = [METRICS_CSV_HEADER]
-    for cond in result.conditions:
         pooled = pooled_by[cond.condition_id]
         det = float(np.mean([s.det_acc for s in pooled]))
         cls_vals = [s.cls_acc for s in pooled if not math.isnan(s.cls_acc)]
         cls = float(np.mean(cls_vals)) if cls_vals else float("nan")
-        recs = result.records[cond.condition_id]
         bers = np.array([r.ber for r in recs])
         ci = (1.96 * float(np.std(bers, ddof=1)) / math.sqrt(len(bers))
               if len(bers) > 1 else 0.0)
-        lines.append(",".join([
-            cond.condition_id, _fmt(cond.frequency_hz), str(cond.n_antennas),
-            _fmt(cond.snr_db), _fmt(cond.density_per_km3),
-            _fmt(float(np.mean(bers))), _fmt(ci), _fmt(det), _fmt(cls)]))
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        metrics_rows.append((cond.condition_id, cond.frequency_hz, cond.n_antennas,
+                             cond.snr_db, cond.density_per_km3,
+                             float(np.mean(bers)), ci, det, cls))
 
-    _write_plot_files(result, cfg, out)
-
-
-def _write_plot_files(result: CampaignResult, cfg: SimulationConfig, out: Path):
-    kind = cfg.campaign.kind
-    ber_lines = ["x,series,value"]
-    for cond in result.conditions:
-        recs = result.records[cond.condition_id]
         by_label: dict[str, list] = {}
         for rec in recs:
             by_label.setdefault(rec.label, []).append(rec.ber)
@@ -976,23 +949,15 @@ def _write_plot_files(result: CampaignResult, cfg: SimulationConfig, out: Path):
         else:
             x = cond.frequency_hz
             series_base = f"rho{cond.density_per_km3:g}"
-        for label in sorted(by_label):
-            ber_lines.append(f"{_fmt(float(x))},{series_base}|{label},"
-                             f"{_fmt(float(np.mean(by_label[label])))}")
-    (out / "plot_ber.csv").write_text("\n".join(ber_lines) + "\n", encoding="utf-8")
-
-    det_lines = ["x,series,value"]
-    cls_lines = ["x,series,value"]
-    for group in result.groups:
-        summary = result.summaries[group.group_id]
-        det_lines.append(f"{_fmt(float(group.frequency_hz))},"
-                         f"{_fmt(float(group.axis_value))},{_fmt(summary.det_acc)}")
-        cls_lines.append(f"{_fmt(float(group.frequency_hz))},"
-                         f"{_fmt(float(group.axis_value))},{_fmt(summary.cls_acc)}")
-    (out / "plot_detection_accuracy.csv").write_text(
-        "\n".join(det_lines) + "\n", encoding="utf-8")
-    (out / "plot_classification_accuracy.csv").write_text(
-        "\n".join(cls_lines) + "\n", encoding="utf-8")
+        ber_rows += [(float(x), f"{series_base}|{label}",
+                      float(np.mean(by_label[label]))) for label in sorted(by_label)]
+    _write_csv(out / "metrics.csv", METRICS_CSV_HEADER, metrics_rows)
+    _write_csv(out / "plot_ber.csv", "x,series,value", ber_rows)
+    for task, metric in (("detection", "det_acc"), ("classification", "cls_acc")):
+        _write_csv(out / f"plot_{task}_accuracy.csv", "x,series,value", [
+            (float(group.frequency_hz), float(group.axis_value),
+             getattr(result.summaries[group.group_id], metric))
+            for group in result.groups])
 
 
 def reproduce_table(which: int, master_seed: int, out_dir,

@@ -226,31 +226,36 @@ def model_to_json(model: SvmModel) -> str:
 
 
 def model_from_json(text: str) -> SvmModel:
+    """The model that ``model_to_json`` wrote.  ValueError names an
+    unsupported format version or a key the model needs and lacks."""
     d = json.loads(text)
     if d.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model format {d.get('format_version')!r}")
-    spec = KernelSpec(kind=d["kernel"]["kind"], gamma=d["kernel"]["gamma"])
-    scaler = StandardizationParams(mean=np.asarray(d["scaler"]["mean"]),
-                                   std=np.asarray(d["scaler"]["std"]),
-                                   kept=tuple(d["scaler"]["kept"]))
-    classes = tuple(d["classes"])
+    try:
+        spec = KernelSpec(kind=d["kernel"]["kind"], gamma=d["kernel"]["gamma"])
+        scaler = StandardizationParams(mean=np.asarray(d["scaler"]["mean"]),
+                                       std=np.asarray(d["scaler"]["std"]),
+                                       kept=tuple(d["scaler"]["kept"]))
+        classes = tuple(d["classes"])
 
-    def machine(item: dict) -> BinarySvm:
-        return BinarySvm(kernel=spec, c=d["c"], tol=d["tol"],
-                         support_x=np.asarray(item["support_x"], dtype=float),
-                         support_y=np.asarray(item["support_y"], dtype=float),
-                         alpha=np.asarray(item["alpha"], dtype=float),
-                         bias=float(item["bias"]))
+        def machine(item: dict) -> BinarySvm:
+            return BinarySvm(kernel=spec, c=d["c"], tol=d["tol"],
+                             support_x=np.asarray(item["support_x"], dtype=float),
+                             support_y=np.asarray(item["support_y"], dtype=float),
+                             alpha=np.asarray(item["alpha"], dtype=float),
+                             bias=float(item["bias"]))
 
-    if d["kind"] == "binary":
-        if d["positive_class"] != classes[-1]:
-            raise ValueError(f"binary model positive for {d['positive_class']!r}, "
-                             f"not for its later class {classes[-1]!r}")
-        return SvmModel(kind="binary", classes=classes, scaler=scaler,
-                        binary=machine(d["machine"]))
-    machines = {tuple(item["pair"]): machine(item) for item in d["machines"]}
-    return SvmModel(kind="multiclass", classes=classes, scaler=scaler,
-                    multi=MultiClassSvm(classes=classes, machines=machines))
+        if d["kind"] == "binary":
+            if d["positive_class"] != classes[-1]:
+                raise ValueError(f"binary model positive for {d['positive_class']!r}, "
+                                 f"not for its later class {classes[-1]!r}")
+            return SvmModel(kind="binary", classes=classes, scaler=scaler,
+                            binary=machine(d["machine"]))
+        machines = {tuple(item["pair"]): machine(item) for item in d["machines"]}
+        return SvmModel(kind="multiclass", classes=classes, scaler=scaler,
+                        multi=MultiClassSvm(classes=classes, machines=machines))
+    except KeyError as exc:
+        raise ValueError(f"model has no {exc.args[0]!r} entry") from None
 
 
 def save_model(model: SvmModel, path) -> None:

@@ -238,19 +238,24 @@ def test_bad_material_file_exits_2(tmp_path, capsys, setting, problem):
     assert not out.exists()
 
 
+def _samples_lines():
+    """A header and 30 rows of random features, alternating two labels."""
+    rng = np.random.default_rng(0)
+    lines = ["label,f_mean,f_var,f_max,f_min,f_skew"]
+    for i in range(30):
+        label = "none" if i % 2 else "smooth_glass"
+        lines.append(",".join([label, *(f"{v:.6f}" for v in rng.normal(size=5))]))
+    return lines
+
+
 @pytest.mark.parametrize("flags", [["--gamma", "0"], ["--gamma", "-1"],
                                    ["--gamma", "nan"], ["--c", "0"],
                                    ["--c", "nan"]],
                          ids=["gamma_zero", "gamma_negative", "gamma_nan",
                               "c_zero", "c_nan"])
 def test_bad_train_setting_exits_2(tmp_path, capsys, flags):
-    rng = np.random.default_rng(0)
     data = tmp_path / "samples.csv"
-    lines = ["label,f_mean,f_var,f_max,f_min,f_skew"]
-    for i in range(30):
-        label = "none" if i % 2 else "smooth_glass"
-        lines.append(",".join([label, *(f"{v:.6f}" for v in rng.normal(size=5))]))
-    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data.write_text("\n".join(_samples_lines()) + "\n", encoding="utf-8")
     model_path = tmp_path / "m.json"
     assert main(["train", "--data", str(data), "--model", str(model_path),
                  *flags]) == 2
@@ -288,6 +293,43 @@ def test_infeasible_split_exits_2_before_any_sample(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "config error" in err and "class 'none' has 2 rows" in err
     assert not out.exists()
+
+
+BAD_SAMPLES_ROWS = {"short_row": "smooth_glass,0.1,0.2,0.3",
+                    "non_numeric": "smooth_glass,0.1,0.2,abc,0.4,0.5",
+                    "nan_feature": "none,0.1,nan,0.3,0.4,0.5"}
+
+
+@pytest.mark.parametrize("problem", list(BAD_SAMPLES_ROWS))
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_bad_samples_row_exits_2(tmp_path, capsys, command, problem):
+    # a malformed row is a config error naming its file and line, in both
+    # commands that read a samples file; line 6 is the fifth row
+    good = tmp_path / "good.csv"
+    good.write_text("\n".join(_samples_lines()) + "\n", encoding="utf-8")
+    model_path = tmp_path / "det.json"
+    assert main(["train", "--binary", "--data", str(good),
+                 "--model", str(model_path)]) == 0
+    lines = _samples_lines()
+    lines.insert(5, BAD_SAMPLES_ROWS[problem])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out_model = model_path if command == "evaluate" else tmp_path / "new.json"
+    capsys.readouterr()
+    assert main([command, "--data", str(bad), "--model", str(out_model)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{bad} line 6" in err
+    assert not (tmp_path / "new.json").exists()
+
+
+def test_incomplete_model_file_exits_3(tmp_path, capsys):
+    data = tmp_path / "samples.csv"
+    data.write_text("\n".join(_samples_lines()) + "\n", encoding="utf-8")
+    model_path = tmp_path / "m.json"
+    model_path.write_text('{"format_version": 1, "kind": "binary"}\n',
+                          encoding="utf-8")
+    assert main(["evaluate", "--data", str(data), "--model", str(model_path)]) == 3
+    assert "'kernel'" in capsys.readouterr().err
 
 
 def test_missing_data_file_exits_3(tmp_path, capsys):

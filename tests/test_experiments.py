@@ -17,7 +17,7 @@ import pytest
 from debrisense.channel import subband_grid
 from debrisense.configio import (CAMPAIGN_KINDS, CAMPAIGN_SWEEPS, CampaignGrid,
                                  ChannelConfig, InteractionTable,
-                                 default_config)
+                                 default_config, parse_config, reference_text)
 from debrisense import experiments
 from debrisense.errors import (BlasThreadsWarning, ConfigError, EqualizationError,
                                TrainingError)
@@ -70,6 +70,18 @@ class TestGrids:
     def test_table3_condition_count(self):
         conds, groups = enumerate_conditions(table_config(3))
         assert len(conds) == 12
+
+    def test_table2_grid_is_the_reference_campaign(self):
+        assert parse_config(reference_text()).campaign == table_config(2).campaign
+
+    def test_trend_grid_is_table2_with_a_density_leg(self):
+        assert trend_config().campaign == replace(
+            table_config(2).campaign, kind="trend",
+            densities_per_km3=(1e-6, 1e-7), samples_per_condition=100)
+
+    def test_unknown_table_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="table must be"):
+            table_config(4)
 
     def test_trend_adds_density_leg(self):
         conds, _ = enumerate_conditions(trend_config())

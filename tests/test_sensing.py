@@ -244,6 +244,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="later class"):
             model_from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("key", ["c", "classes", "kernel", "kind", "machine",
+                                     "positive_class", "scaler", "tol"])
+    def test_missing_key_named(self, key):
+        ds = toy_dataset(np.random.default_rng(6))
+        payload = json.loads(model_to_json(svm_train(detection_dataset(ds))))
+        del payload[key]
+        with pytest.raises(ValueError, match=f"no '{key}' entry"):
+            model_from_json(json.dumps(payload))
+
     def test_version_guard(self):
         with pytest.raises(ValueError):
             model_from_json(json.dumps({"format_version": 999}))
