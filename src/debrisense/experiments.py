@@ -442,19 +442,54 @@ def build_paths(scene_paths: ScenePaths, interactions, grid,
 # Per-sample simulation
 # ---------------------------------------------------------------------------
 
+class LinkStacks:
+    """The arrays that one array size's link is drawn and simulated in.
+
+    ``run_condition`` allocates one per array size of its family, and every
+    sample at that size refills it in place.  ``draw_sample`` and
+    ``draw_link`` write the draw (see SampleDraw) and the QPSK
+    ``symbols``; each SNR sibling's ``simulate_sample`` writes its scratch:
+    the LS estimate ``csi`` and its ``magnitudes``, (S, N, N), and the
+    ``received`` blocks and their zero-forced ``estimate``, (S, N, L).
+    ``FRAME_SYMBOLS`` is split over the S sub-bands as evenly as it goes
+    (500 over 8 gives 63 on sub-bands 0-3 and 62 on 4-7), and sub-band k's
+    frame fills the first ``lengths[k]`` columns of the padded stacks;
+    nothing writes the pad columns of ``noise`` and ``bits``, so they stay
+    zero.
+    """
+
+    def __init__(self, n_antennas: int, n_subbands: int):
+        self.lengths = tuple(balanced_partition(FRAME_SYMBOLS,
+                                                range(n_subbands)).values())
+        matrices = (n_subbands, n_antennas, n_antennas)
+        frames = (n_subbands, n_antennas, max(self.lengths))
+        self.channel = np.empty(matrices, dtype=complex)
+        self.csi_error = np.empty(matrices, dtype=complex)
+        self.csi = np.empty(matrices, dtype=complex)
+        self.magnitudes = np.empty(matrices)
+        self.noise = np.zeros(frames, dtype=complex)
+        self.bits = np.zeros((*frames, 2), dtype=np.int8)
+        self.symbols = np.empty(frames, dtype=complex)
+        self.signal = np.empty(frames, dtype=complex)
+        self.received = np.empty(frames, dtype=complex)
+        self.estimate = np.empty(frames, dtype=complex)
+
+
 @dataclass(frozen=True)
 class SampleDraw:
     """The SNR-independent part of one sample, shared by its SNR siblings.
 
-    The sub-band arrays are stacks along a leading sub-band axis:
-    ``channel`` holds the S channel matrices, (S, N, N), ``csi_error`` the
-    CN(0, 1) units of the LS channel-estimate error, of the same shape, and
-    ``power`` the signal power of each sub-band (linksim.signal_power).
-    The frame's symbols are split over the sub-bands as evenly as they go
-    (500 over 8 gives 63 on sub-bands 0-3 and 62 on 4-7), and sub-band k's
-    ``lengths[k]`` fill the first columns of three zero-padded stacks:
-    ``signal``, the noiseless received blocks gamma H x, (S, N, L) for
-    L = max(lengths), ``noise``, the CN(0, 1) units each SNR sibling
+    Its arrays are those of the LinkStacks it was drawn into, so they hold
+    the draw only until the next draw into those stacks; run_condition's
+    loop (sample, then carrier, array size and SNR sibling) uses each draw
+    up before the next one at its array size.  The sub-band arrays are
+    stacks along a leading sub-band axis: ``channel`` holds the S channel
+    matrices, (S, N, N), ``csi_error`` the CN(0, 1) units of the LS
+    channel-estimate error, of the same shape, and ``power`` the signal
+    power of each sub-band (linksim.signal_power).  Sub-band k's
+    ``lengths[k]`` symbols fill the first columns of three zero-padded
+    stacks: ``signal``, the noiseless received blocks gamma H x, (S, N, L)
+    for L = max(lengths), ``noise``, the CN(0, 1) units each SNR sibling
     scales, of the same shape, and ``bits``, the payload, (S, N, L, 2).
     """
     sample_idx: int
@@ -471,12 +506,14 @@ class SampleDraw:
 
 def draw_sample(cond: ConditionSpec, label: str, sample_key: tuple,
                 scene_paths: ScenePaths, paths, flags, grid,
-                cfg: SimulationConfig, master_seed: int) -> SampleDraw:
+                cfg: SimulationConfig, master_seed: int,
+                stacks: LinkStacks) -> SampleDraw:
     """Sub-band channels and payload of one sample at ``cond``'s carrier and
     array size, from the ``paths`` built at that carrier, each of which
-    reaches every sub-band.  When there is more than the line of sight,
-    every sub-band gets Rician small-scale fading at the label's K-factor at
-    the carrier, read once, so the no-debris label reads no K-factor row.
+    reaches every sub-band, drawn into ``stacks`` (of the array size).
+    When there is more than the line of sight, every sub-band gets Rician
+    small-scale fading at the label's K-factor at the carrier, read once,
+    so the no-debris label reads no K-factor row.
 
     ``sample_key`` is the sample's (table tag, density index, label index,
     sample index); the fading and noise streams add the array size, and
@@ -490,52 +527,48 @@ def draw_sample(cond: ConditionSpec, label: str, sample_key: tuple,
     steering = [scene_paths.steering(p.object_index, n) for p in paths]
     fading = len(paths) > 1
     k_factor = cfg.channel.k_factor(label, cond.frequency_hz) if fading else None
-    channel = np.empty((len(grid), n, n), dtype=complex)
     for k, f_k in enumerate(grid):
         h = assemble_subband([(p.gains[k], a) for p, a in zip(paths, steering)],
                              n, float(f_k), cfg.link.velocity_m_s)
         if fading:
             h = apply_rician_smallscale(h, k_factor, fading_rng)
-        channel[k] = h
-    lengths = balanced_partition(FRAME_SYMBOLS, range(cfg.channel.n_subbands)).values()
-    return draw_link(sample_idx, label, tuple(flags), channel, lengths, noise_rng)
+        stacks.channel[k] = h
+    return draw_link(sample_idx, label, tuple(flags), stacks, noise_rng)
 
 
 def draw_link(sample_idx: int, label: str, flags: tuple[str, ...],
-              channel: np.ndarray, lengths, rng: np.random.Generator) -> SampleDraw:
-    """Payload and unit noise of a sample's (S, N, N) sub-band channels.
+              stacks: LinkStacks, rng: np.random.Generator) -> SampleDraw:
+    """Payload and unit noise of the (S, N, N) sub-band channels in
+    ``stacks.channel``, drawn into ``stacks``.
 
-    ``lengths`` gives each sub-band's frame length in symbols.  Per
+    ``stacks.lengths`` gives each sub-band's frame length in symbols.  Per
     sub-band, in order, ``rng`` supplies the payload bits and then one
-    block of noise and CSI-error units, written in place into its padded
-    stacks (see SampleDraw).  gamma H x is one product over the stack, after
-    the draws, with the pad symbols zeroed, since QPSK maps zero bits to
-    (1+j)/sqrt(2).
+    block of noise and CSI-error units, written in place into the
+    unpadded columns of its stacks (see SampleDraw).  gamma H x is one
+    product over the stack, after the draws, with the pad symbols zeroed,
+    since QPSK maps zero bits to (1+j)/sqrt(2).
     """
-    lengths = tuple(lengths)
-    n_antennas = channel.shape[-1]
-    shape = (len(lengths), n_antennas, max(lengths))
-    csi_error = np.empty_like(channel)
-    noise = np.zeros(shape, dtype=complex)
-    bits = np.zeros((*shape, 2), dtype=np.int8)
-    for k, length in enumerate(lengths):
+    n_antennas = stacks.channel.shape[-1]
+    for k, length in enumerate(stacks.lengths):
         # drawn as int64, as the stream has always been consumed; stored as int8
-        bits[k, :, :length] = rng.integers(0, 2, size=(n_antennas, length, 2))
-        fill_complex_normal(rng, (noise[k, :, :length], csi_error[k]))
-    symbols = qpsk_modulate(bits).reshape(shape)
-    for k, length in enumerate(lengths):
+        stacks.bits[k, :, :length] = rng.integers(0, 2, size=(n_antennas, length, 2))
+        fill_complex_normal(rng, (stacks.noise[k, :, :length], stacks.csi_error[k]))
+    symbols = qpsk_modulate(stacks.bits, out=stacks.symbols)
+    for k, length in enumerate(stacks.lengths):
         symbols[k, :, length:] = 0
     return SampleDraw(sample_idx=sample_idx, label=label, flags=flags,
-                      channel=channel, csi_error=csi_error,
-                      power=np.array([signal_power(h) for h in channel]),
-                      signal=noiseless_output(channel, symbols), noise=noise,
-                      bits=bits, lengths=lengths)
+                      channel=stacks.channel, csi_error=stacks.csi_error,
+                      power=np.array([signal_power(h) for h in stacks.channel]),
+                      signal=noiseless_output(stacks.channel, symbols,
+                                              out=stacks.signal),
+                      noise=stacks.noise, bits=stacks.bits, lengths=stacks.lengths)
 
 
 def _bit_errors(y: np.ndarray, csi: CsiEstimate, bits: np.ndarray, lengths,
-                flags: list) -> float:
+                flags: list, out: np.ndarray) -> float:
     """Bit errors of ZF and hard QPSK decisions on a padded sub-band stack,
-    or on one sub-band of ``lengths`` symbols.
+    or on one sub-band of ``lengths`` symbols; ``out``, of ``y``'s shape,
+    receives the ZF estimate.
 
     A pad column of ``y`` is zero: it equalizes to zero and decides as its
     stored zero bits, so it adds no error.  A stack that fails zero-forcing
@@ -543,34 +576,39 @@ def _bit_errors(y: np.ndarray, csi: CsiEstimate, bits: np.ndarray, lengths,
     own books half of its unpadded bits and the ``eq_error`` flag.
     """
     try:
-        est = zf_equalize(y, csi)
+        est = zf_equalize(y, csi, out=out)
     except EqualizationError:
         if csi.matrix.ndim == 2:
             flags.append("eq_error")
             return bits[:, :lengths].size * 0.5
-        return sum(_bit_errors(y_k, CsiEstimate(h_k, csi.method), bits_k, n_k, flags)
-                   for y_k, h_k, bits_k, n_k in zip(y, csi.matrix, bits, lengths))
+        return sum(_bit_errors(y_k, CsiEstimate(h_k, csi.method), bits_k, n_k,
+                               flags, out_k)
+                   for y_k, h_k, bits_k, n_k, out_k
+                   in zip(y, csi.matrix, bits, lengths, out))
     return float(np.count_nonzero(qpsk_demodulate(est) != bits.ravel()))
 
 
-def simulate_sample(cond: ConditionSpec, draw: SampleDraw) -> SampleRecord:
+def simulate_sample(cond: ConditionSpec, draw: SampleDraw,
+                    stacks: LinkStacks) -> SampleRecord:
     """Link and features of one drawn sample at the condition's SNR, from
-    the least-squares channel estimate.  The noise is added, and the
-    sub-bands zero-forced and their bit errors counted, once on the draw's
-    padded stack; the pad adds no bit error (``_bit_errors``)."""
+    the least-squares channel estimate, with ``stacks`` (those the draw
+    was drawn into) as scratch.  The noise is added, and the sub-bands
+    zero-forced and their bit errors counted, once on the draw's padded
+    stack; the pad adds no bit error (``_bit_errors``)."""
     noise_var = noise_variance(draw.power, cond.snr_db)
     csi = add_noise(draw.channel,
                     csi_error_variance(noise_var, cond.n_antennas,
                                        PILOT_FACTOR * cond.n_antennas),
-                    draw.csi_error)
+                    draw.csi_error, out=stacks.csi)
     flags = list(draw.flags)
-    err_bits = _bit_errors(add_noise(draw.signal, noise_var, draw.noise),
+    err_bits = _bit_errors(add_noise(draw.signal, noise_var, draw.noise,
+                                     out=stacks.received),
                            CsiEstimate(csi, CsiMethod.LEAST_SQUARES),
-                           draw.bits, draw.lengths, flags)
+                           draw.bits, draw.lengths, flags, stacks.estimate)
     return SampleRecord(condition_id=cond.condition_id,
                         sample_idx=draw.sample_idx, label=draw.label,
                         ber=err_bits / (2 * cond.n_antennas * sum(draw.lengths)),
-                        features=extract_features(csi),
+                        features=extract_features(csi, out=stacks.magnitudes),
                         flags=tuple(sorted(set(flags))))
 
 
@@ -609,8 +647,10 @@ def run_condition(conds, cfg: SimulationConfig, master_seed: int,
     scene and its interaction uniforms are drawn once, and the paths are
     built once per carrier (``ScenePaths`` shares their transfer functions
     and steering); the channel and payload are drawn once per (carrier, array
-    size) and simulated at each SNR sibling's SNR.  The records come back
-    grouped by condition, in the order given.
+    size) and simulated at each SNR sibling's SNR.  Each array size's link
+    runs in one LinkStacks, allocated here and refilled by every sample at
+    that size.  The records come back grouped by condition, in the order
+    given.
     """
     family = (conds,) if isinstance(conds, ConditionSpec) else tuple(conds)
     head = family[0]
@@ -629,6 +669,8 @@ def run_condition(conds, cfg: SimulationConfig, master_seed: int,
     siblings: dict[int, dict[int, list[int]]] = {}
     for pos, cond in enumerate(family):
         siblings.setdefault(cond.f_idx, {}).setdefault(cond.mimo_idx, []).append(pos)
+    stacks = {n: LinkStacks(n, cfg.channel.n_subbands)
+              for n in {cond.n_antennas for cond in family}}
     records: list[list[SampleRecord]] = [[] for _ in family]
     for sample_idx in range(head.samples) if block is None else block:
         label = labels[sample_idx]
@@ -648,10 +690,11 @@ def run_condition(conds, cfg: SimulationConfig, master_seed: int,
                                                cfg.interactions, draws),
                 grid, cfg, flags)
             for positions in by_size.values():
+                link = stacks[family[positions[0]].n_antennas]
                 draw = draw_sample(family[positions[0]], label, key, scene_paths,
-                                   paths, flags, grid, cfg, master_seed)
+                                   paths, flags, grid, cfg, master_seed, link)
                 for pos in positions:
-                    records[pos].append(simulate_sample(family[pos], draw))
+                    records[pos].append(simulate_sample(family[pos], draw, link))
     return [rec for recs in records for rec in recs]
 
 

@@ -36,11 +36,13 @@ class CsiEstimate:
     method: CsiMethod
 
 
-def qpsk_modulate(bits: np.ndarray) -> np.ndarray:
+def qpsk_modulate(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Gray-mapped unit-energy QPSK: bit pair (b0, b1) -> ((1-2b0)+j(1-2b1))/sqrt(2).
 
     The all-zeros pair maps to (1+1j)/sqrt(2); adjacent constellation
-    points differ in exactly one bit.  Bits must be 0 or 1.
+    points differ in exactly one bit.  Bits must be 0 or 1.  The symbols
+    come back flat, or written into ``out``, a C-contiguous complex array
+    of one element per bit pair, which is returned in its own shape.
     """
     bits = np.asarray(bits)
     if bits.size % 2 != 0:
@@ -51,12 +53,17 @@ def qpsk_modulate(bits: np.ndarray) -> np.ndarray:
     # (b0 + j b1) * (-2/sqrt(2)) + (1 + j)/sqrt(2), built in the output with
     # no index temporaries; every step is exact, so each symbol is the
     # formula's value bit for bit
-    symbols = np.empty(len(pairs), dtype=complex)
+    if out is None:
+        symbols = np.empty(len(pairs), dtype=complex)
+    elif out.flags.c_contiguous:
+        symbols = out.reshape(-1)  # a view: writing it writes out
+    else:
+        raise ValueError("out must be C-contiguous")
     symbols.real = pairs[:, 0]
     symbols.imag = pairs[:, 1]
     symbols *= -2.0 * _INV_SQRT2
     symbols += (1 + 1j) * _INV_SQRT2
-    return symbols
+    return symbols if out is None else out
 
 
 def qpsk_demodulate(symbols: np.ndarray) -> np.ndarray:
@@ -93,27 +100,30 @@ def csi_error_variance(noise_var, n_tx: int, pilot_length: int):
     return noise_var * n_tx / pilot_length  # gamma^2 = 1/Nt
 
 
-def add_noise(signal: np.ndarray, variance, unit: np.ndarray) -> np.ndarray:
+def add_noise(signal: np.ndarray, variance, unit: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
     """signal + sqrt(variance) * unit for complex CN(0, 1) ``unit`` of the
-    same shape.
+    same shape, into ``out`` if given.
 
     On a stack of matrices, ``variance`` may hold one value per matrix.
     """
     scale = np.sqrt(variance)
     if np.ndim(scale):
         scale = scale[..., None, None]
-    out = scale * unit
+    out = np.multiply(scale, unit, out=out)
     out += signal  # addition commutes bit for bit: no second temporary
     return out
 
 
-def noiseless_output(h: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """The noiseless received block gamma * (H @ x), gamma = 1/sqrt(Nt).
+def noiseless_output(h: np.ndarray, frame: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """The noiseless received block gamma * (H @ x), gamma = 1/sqrt(Nt),
+    into ``out`` if given.
 
     ``h`` and ``frame`` may carry matching leading stack axes.  The product
     is scaled in place.
     """
-    out = np.matmul(h, frame)
+    out = np.matmul(h, frame, out=out)
     out *= 1.0 / math.sqrt(h.shape[-1])
     return out
 
@@ -197,8 +207,10 @@ def _squared_frobenius(a: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", parts, parts)
 
 
-def zf_equalize(y: np.ndarray, csi: CsiEstimate) -> np.ndarray:
-    """Zero-forcing equalization: pinv(H) @ y, from one LU inverse.
+def zf_equalize(y: np.ndarray, csi: CsiEstimate,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Zero-forcing equalization: pinv(H) @ y, from one LU inverse, into
+    ``out`` if given.
 
     ``csi.matrix`` and ``y`` may carry leading stack axes; each matrix of
     the stack equalizes its own block, and the stack raises if any matrix
@@ -245,7 +257,7 @@ def zf_equalize(y: np.ndarray, csi: CsiEstimate) -> np.ndarray:
                 f"{n_rx}x{n_tx} CSI has singular values "
                 f"{worst[0]:.3e}..{worst[-1]:.3e}; zero-forcing needs full "
                 f"column rank")
-    return h_inv @ y
+    return np.matmul(h_inv, y, out=out)
 
 
 def compute_ber(tx_bits: np.ndarray, rx_bits: np.ndarray) -> float:

@@ -36,13 +36,14 @@ class FeatureVector:
                          self.minimum, self.skewness])
 
 
-def extract_features(csi) -> FeatureVector:
+def extract_features(csi, out: np.ndarray | None = None) -> FeatureVector:
     """Population moments of |CSI| over all entries of the (stacked) matrix.
 
     Skewness is m3 / m2^1.5 with population moments; constant input maps
-    to skewness 0 by convention.
+    to skewness 0 by convention.  ``out``, a float array of the CSI's
+    shape, receives |CSI| if given.
     """
-    mags = np.abs(np.asarray(csi)).ravel()
+    mags = np.abs(np.asarray(csi), out=out).ravel()
     if mags.size < 2:
         raise ValueError(f"need at least 2 CSI entries, got {mags.size}")
     if not np.all(np.isfinite(mags)):
@@ -225,17 +226,27 @@ def model_to_json(model: SvmModel) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _json_object(value, field: str) -> dict:
+    """``value``, which the model file's ``field`` must hold as an object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"model {field} is not a JSON object")
+    return value
+
+
 def model_from_json(text: str) -> SvmModel:
     """The model that ``model_to_json`` wrote.  ValueError names an
-    unsupported format version or a key the model needs and lacks."""
-    d = json.loads(text)
+    unsupported format version, a key the model needs and lacks, or the
+    top level, ``kernel`` or ``scaler`` when it is not an object."""
+    d = _json_object(json.loads(text), "file")
     if d.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model format {d.get('format_version')!r}")
     try:
-        spec = KernelSpec(kind=d["kernel"]["kind"], gamma=d["kernel"]["gamma"])
-        scaler = StandardizationParams(mean=np.asarray(d["scaler"]["mean"]),
-                                       std=np.asarray(d["scaler"]["std"]),
-                                       kept=tuple(d["scaler"]["kept"]))
+        kernel = _json_object(d["kernel"], "'kernel'")
+        spec = KernelSpec(kind=kernel["kind"], gamma=kernel["gamma"])
+        scaler_fields = _json_object(d["scaler"], "'scaler'")
+        scaler = StandardizationParams(mean=np.asarray(scaler_fields["mean"]),
+                                       std=np.asarray(scaler_fields["std"]),
+                                       kept=tuple(scaler_fields["kept"]))
         classes = tuple(d["classes"])
 
         def machine(item: dict) -> BinarySvm:

@@ -332,6 +332,21 @@ def test_incomplete_model_file_exits_3(tmp_path, capsys):
     assert "'kernel'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,field", [
+    ("[]", "file"),
+    ('{"format_version": 1, "kind": "binary", "kernel": 5}', "'kernel'"),
+], ids=["top_level_list", "kernel_number"])
+def test_model_file_of_wrong_shape_exits_3(tmp_path, capsys, text, field):
+    # a model file whose top level or kernel is not an object is named, not
+    # a traceback
+    data = tmp_path / "samples.csv"
+    data.write_text("\n".join(_samples_lines()) + "\n", encoding="utf-8")
+    model_path = tmp_path / "m.json"
+    model_path.write_text(text + "\n", encoding="utf-8")
+    assert main(["evaluate", "--data", str(data), "--model", str(model_path)]) == 3
+    assert f"model {field} is not a JSON object" in capsys.readouterr().err
+
+
 def test_missing_data_file_exits_3(tmp_path, capsys):
     assert main(["evaluate", "--data", str(tmp_path / "nope.csv"),
                  "--model", str(tmp_path / "nope.json")]) == 3

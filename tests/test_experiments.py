@@ -21,8 +21,8 @@ from debrisense.configio import (CAMPAIGN_KINDS, CAMPAIGN_SWEEPS, CampaignGrid,
 from debrisense import experiments
 from debrisense.errors import (BlasThreadsWarning, ConfigError, EqualizationError,
                                TrainingError)
-from debrisense.experiments import (_STREAM_SPLIT, FRAME_SYMBOLS, PILOT_FACTOR,
-                                    Interaction, ScenePaths,
+from debrisense.experiments import (_STREAM_SPLIT, PILOT_FACTOR,
+                                    Interaction, LinkStacks, ScenePaths,
                                     balanced_partition, build_paths,
                                     draw_interactions, draw_link,
                                     enumerate_conditions, evaluate_condition,
@@ -238,6 +238,27 @@ class TestSceneFamilies:
             for rec in half:
                 by_condition.setdefault(rec.condition_id, []).append(rec)
         assert [rec for recs in by_condition.values() for rec in recs] == whole
+
+    def test_refilled_stacks_give_the_records_of_fresh_ones(self):
+        # a family over three array sizes and two SNRs refills one set of
+        # link stacks per size across samples, carriers and SNR siblings;
+        # run as one block, as three blocks and condition by condition (each
+        # on stacks of its own), it gives the same records.  No campaign kind
+        # sweeps both, so the SNR siblings are built from table 3's grid
+        cfg = tiny_cfg(samples=6, kind="mimo_frequency")
+        cfg = replace(cfg, campaign=replace(cfg.campaign, mimo_sizes=(4, 16, 64)))
+        (family,) = scene_families(
+            replace(cond, condition_id=f"{cond.condition_id}-snr{snr:g}", snr_db=snr)
+            for cond in enumerate_conditions(cfg)[0] for snr in (5.0, 20.0))
+        assert len(family) == 12
+        whole = run_condition(family, cfg, master_seed=5)
+        by_condition = {}
+        for block in sample_blocks(6, 3):
+            for rec in run_condition(family, cfg, 5, block):
+                by_condition.setdefault(rec.condition_id, []).append(rec)
+        assert [rec for recs in by_condition.values() for rec in recs] == whole
+        alone = [rec for cond in family for rec in run_condition(cond, cfg, 5)]
+        assert alone == whole
 
     def test_scene_drawn_once_per_sample_of_a_family(self, monkeypatch):
         # table 3's twelve conditions (4 carriers x 3 array sizes) share
@@ -518,10 +539,10 @@ class TestPathGeometryFlow:
         cfg = tiny_cfg()
         cond = replace(enumerate_conditions(cfg)[0][0], snr_db=snr_db)
         n = cond.n_antennas
-        channel = complex_normal(np.random.default_rng(4), (8, n, n))
-        channel[list(bad), :, 2] = 0.0
-        lengths = balanced_partition(FRAME_SYMBOLS, range(8)).values()
-        draw = draw_link(0, "none", (), channel, lengths, np.random.default_rng(5))
+        stacks = LinkStacks(n, 8)
+        stacks.channel[:] = complex_normal(np.random.default_rng(4), (8, n, n))
+        stacks.channel[list(bad), :, 2] = 0.0
+        draw = draw_link(0, "none", (), stacks, np.random.default_rng(5))
         draw.csi_error[list(bad), :, 2] = 0.0
 
         errors, total, failed = per_matrix_link(draw, snr_db)
@@ -531,20 +552,24 @@ class TestPathGeometryFlow:
         else:  # not only the singular sub-band
             assert errors > 0.5 * 2 * n * draw.lengths[5]
 
-        rec = simulate_sample(cond, draw)
+        rec = simulate_sample(cond, draw, stacks)
         assert rec.ber == errors / total
         assert rec.flags.count("eq_error") == 1
 
     @pytest.mark.parametrize("n_subbands", [3, 5, 8])
     def test_padded_stack_counts_the_unpadded_frames(self, n_subbands):
         # 500 symbols over 3, 5 and 8 sub-bands: one short sub-band, none,
-        # and four.  The pad holds zeros, and the stack's BER is the
-        # per-matrix link's over the unpadded frames
+        # and four.  The pad holds zeros after the stacks are refilled, and
+        # the stack's BER is the per-matrix link's over the unpadded frames
         cond = enumerate_conditions(tiny_cfg())[0][0]
         n = cond.n_antennas
-        channel = complex_normal(np.random.default_rng(6), (n_subbands, n, n))
-        lengths = balanced_partition(FRAME_SYMBOLS, range(n_subbands)).values()
-        draw = draw_link(0, "none", (), channel, lengths, np.random.default_rng(7))
+        stacks = LinkStacks(n, n_subbands)
+        # an earlier sample fills the stacks and their scratch first
+        stacks.channel[:] = complex_normal(np.random.default_rng(5), (n_subbands, n, n))
+        simulate_sample(cond, draw_link(0, "none", (), stacks,
+                                        np.random.default_rng(6)), stacks)
+        stacks.channel[:] = complex_normal(np.random.default_rng(6), (n_subbands, n, n))
+        draw = draw_link(0, "none", (), stacks, np.random.default_rng(7))
         width = max(draw.lengths)
         assert draw.signal.shape == draw.noise.shape == (n_subbands, n, width)
         assert draw.bits.shape == (n_subbands, n, width, 2)
@@ -555,7 +580,7 @@ class TestPathGeometryFlow:
 
         errors, total, failed = per_matrix_link(draw, cond.snr_db)
         assert not failed and errors > 0
-        rec = simulate_sample(cond, draw)
+        rec = simulate_sample(cond, draw, stacks)
         assert rec.ber == errors / total
         assert "eq_error" not in rec.flags
 

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 import kernel_reference as ref
 from debrisense.errors import ConfigError, EqualizationError
 from debrisense.linksim import (ZF_RANK_TOL, CsiEstimate, CsiMethod,
-                                complex_normal, compute_ber, estimate_csi,
-                                fill_complex_normal, qpsk_demodulate,
+                                add_noise, complex_normal, compute_ber,
+                                estimate_csi, fill_complex_normal,
+                                noiseless_output, qpsk_demodulate,
                                 qpsk_modulate, transmit, zf_equalize)
 
 
@@ -393,6 +394,53 @@ class TestBer:
         p = q_function(math.sqrt(2 * 10 ** (ebn0_db / 10)))
         sigma = math.sqrt(p * (1 - p) / n_bits)
         assert abs(ber - p) < 3 * sigma
+
+
+class TestOutForms:
+    """Each ``out=`` form writes the bytes its allocating form returns, over
+    whatever ``out`` held, and returns ``out``."""
+
+    @staticmethod
+    def stale(shape, dtype=complex):
+        return np.full(shape, np.nan, dtype=dtype)
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_add_noise(self, n):
+        rng = np.random.default_rng(300 + n)
+        signal = complex_normal(rng, (8, n, 63))
+        unit = complex_normal(rng, (8, n, 63))
+        for variance in (0.25, rng.uniform(0.1, 2.0, size=8)):
+            out = self.stale(signal.shape)
+            assert add_noise(signal, variance, unit, out=out) is out
+            assert out.tobytes() == add_noise(signal, variance, unit).tobytes()
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_noiseless_output(self, n):
+        rng = np.random.default_rng(400 + n)
+        h = complex_normal(rng, (8, n, n))
+        frame = complex_normal(rng, (8, n, 63))
+        out = self.stale(frame.shape)
+        assert noiseless_output(h, frame, out=out) is out
+        assert out.tobytes() == noiseless_output(h, frame).tobytes()
+
+    def test_qpsk_modulate(self):
+        bits = np.random.default_rng(5).integers(0, 2, size=(8, 16, 63, 2),
+                                                 dtype=np.int8)
+        out = self.stale(bits.shape[:-1])
+        assert qpsk_modulate(bits, out=out) is out
+        assert out.tobytes() == qpsk_modulate(bits).tobytes()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            qpsk_modulate(bits, out=self.stale((8, 16, 126))[:, :, ::2])
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_zf_equalize(self, n):
+        rng = np.random.default_rng(500 + n)
+        y = complex_normal(rng, (8, n, 63))
+        csi = CsiEstimate(matrix=complex_normal(rng, (8, n, n)),
+                          method=CsiMethod.LEAST_SQUARES)
+        out = self.stale(y.shape)
+        assert zf_equalize(y, csi, out=out) is out
+        assert out.tobytes() == zf_equalize(y, csi).tobytes()
 
 
 def test_complex_normal_unit_variance():

@@ -61,6 +61,16 @@ class TestExtractFeatures:
             for got, want in zip(fv.as_array(), oracle):
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_out_form_matches_allocating_form(self, n):
+        # |CSI| written over a stale buffer gives the same bits
+        rng = np.random.default_rng(n)
+        csi = rng.normal(size=(8, n, n)) + 1j * rng.normal(size=(8, n, n))
+        out = np.full(csi.shape, np.nan)
+        fv = extract_features(csi, out=out)
+        assert fv.as_array().tobytes() == extract_features(csi).as_array().tobytes()
+        assert out.tobytes() == np.abs(csi).tobytes()
+
     def test_too_few_entries_rejected(self):
         with pytest.raises(ValueError):
             extract_features(np.array([1.0]))
@@ -251,6 +261,18 @@ class TestSerialization:
         payload = json.loads(model_to_json(svm_train(detection_dataset(ds))))
         del payload[key]
         with pytest.raises(ValueError, match=f"no '{key}' entry"):
+            model_from_json(json.dumps(payload))
+
+    def test_top_level_not_an_object_named(self):
+        with pytest.raises(ValueError, match="model file is not a JSON object"):
+            model_from_json("[]")
+
+    @pytest.mark.parametrize("key", ["kernel", "scaler"])
+    def test_field_not_an_object_named(self, key):
+        ds = toy_dataset(np.random.default_rng(6))
+        payload = json.loads(model_to_json(svm_train(detection_dataset(ds))))
+        payload[key] = 5
+        with pytest.raises(ValueError, match=f"model '{key}' is not a JSON object"):
             model_from_json(json.dumps(payload))
 
     def test_version_guard(self):
